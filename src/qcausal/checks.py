@@ -19,9 +19,7 @@ import numpy as np
 
 from . import causal, entanglement, lattice, quantum, topology
 from .fixtures import load_golden
-from .scenarios import parse_scenario, run_scenario
-
-DEFAULT_SEED = 20260810
+from .scenarios import DEFAULT_SEED, parse_scenario, run_scenario
 
 
 @dataclass
@@ -144,11 +142,8 @@ def _eraser_visibility(seed):
 def _lattice_commutator_structure(seed):
     spec = lattice.LatticeSpec(64, 1.0, 8)
     table = lattice.commutator_table(spec)
-    equal_time = max(abs(v) for (dx, dt), v in table.values.items() if dt == 0.0)
-    antisym = max(
-        abs(v + table.values[((-dx) % spec.sites, -dt)])
-        for (dx, dt), v in table.values.items()
-    )
+    equal_time = table.equal_time_max()
+    antisym = table.antisymmetry_max()
     canonical = max(
         abs(lattice.canonical_check(spec, dx) - (1.0 if dx % 64 == 0 else 0.0))
         for dx in range(65)

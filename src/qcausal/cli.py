@@ -16,8 +16,7 @@ import sys
 from pathlib import Path
 
 from . import checks, fixtures
-from .causal import CycleError
-from .scenarios import DEFAULT_SEED, ScenarioError, emit_json, parse_scenario, run_scenario
+from .scenarios import DEFAULT_SEED, emit_json, parse_scenario, run_scenario
 from .topology import ResourceLimitError
 
 
@@ -29,7 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("file", help="scenario file (key = value lines)")
     run_parser.add_argument("--out", default="out", help="artifact directory")
     run_parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    run_parser.add_argument("--threads", type=int, default=1, help="worker threads")
     run_parser.add_argument("--eps", type=float, default=None,
                             help="override eps for cone/topology scenarios")
 
@@ -46,14 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     path = Path(args.file)
     scenario = parse_scenario(path.read_text(encoding="utf-8"))
-    if args.threads < 1:
-        raise ScenarioError("--threads must be >= 1")
     report = run_scenario(
         scenario,
         args.out,
         seed_override=args.seed,
         eps_override=args.eps,
-        threads=args.threads,
         base_dir=path.parent,
     )
     stem = scenario.output_path or scenario.kind
@@ -97,10 +92,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_regen(args)
-    except (ScenarioError, ResourceLimitError, CycleError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, ResourceLimitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

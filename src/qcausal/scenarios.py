@@ -288,7 +288,6 @@ def run_scenario(
     *,
     seed_override: int | None = None,
     eps_override: float | None = None,
-    threads: int = 1,
     base_dir=None,
 ) -> RunReport:
     """Dispatch to the core modules and write artifacts under out_dir."""
@@ -305,7 +304,7 @@ def run_scenario(
     runner = _RUNNERS[scenario.kind]
     try:
         metrics, verdicts, artifacts = runner(
-            params, seed=seed, out=out, stem=stem, threads=threads, base_dir=base_dir
+            params, seed=seed, out=out, stem=stem, base_dir=base_dir
         )
     except (ResourceLimitError, causal.CycleError):
         raise
@@ -317,7 +316,7 @@ def run_scenario(
     return RunReport(scenario.kind, echo, metrics, verdicts, artifacts)
 
 
-def _run_bell(params, *, seed, out, stem, threads, base_dir):
+def _run_bell(params, *, seed, out, stem, base_dir):
     axis = params["axis"]
     psi = entanglement.bell_phi_plus()
     joint = entanglement.joint_spin_probabilities(psi, axis, axis)
@@ -334,7 +333,7 @@ def _run_bell(params, *, seed, out, stem, threads, base_dir):
     return metrics, verdicts, []
 
 
-def _run_epr(params, *, seed, out, stem, threads, base_dir):
+def _run_epr(params, *, seed, out, stem, base_dir):
     joint = entanglement.joint_spin_probabilities(
         entanglement.bell_phi_plus(), params["axisA"], params["axisB"]
     )
@@ -348,7 +347,7 @@ def _run_epr(params, *, seed, out, stem, threads, base_dir):
     return metrics, verdicts, []
 
 
-def _run_chsh(params, *, seed, out, stem, threads, base_dir):
+def _run_chsh(params, *, seed, out, stem, base_dir):
     axes = [
         entanglement.xz_axis(math.radians(params[key]))
         for key in ("a0Deg", "a1Deg", "b0Deg", "b1Deg")
@@ -375,7 +374,7 @@ def _run_chsh(params, *, seed, out, stem, threads, base_dir):
     return metrics, verdicts, []
 
 
-def _run_lhv(params, *, seed, out, stem, threads, base_dir):
+def _run_lhv(params, *, seed, out, stem, base_dir):
     strategies = entanglement.enumerate_lhv_strategies()
     values = [value for _, value in strategies]
     settings, quantum_max = entanglement.maximize_chsh(
@@ -401,7 +400,7 @@ def _run_lhv(params, *, seed, out, stem, threads, base_dir):
     return metrics, verdicts, []
 
 
-def _run_eraser(params, *, seed, out, stem, threads, base_dir):
+def _run_eraser(params, *, seed, out, stem, base_dir):
     cfg = entanglement.EraserConfig(
         params["marking"], params["erasure"], params["phaseSamples"]
     )
@@ -418,22 +417,25 @@ def _run_eraser(params, *, seed, out, stem, threads, base_dir):
     return metrics, verdicts, [curve_path]
 
 
-def _run_cone(params, *, seed, out, stem, threads, base_dir):
+def _run_cone(params, *, seed, out, stem, base_dir):
     spec = lattice.LatticeSpec(
         params["sites"], params["mass"], params["timeSteps"], params["timeStep"]
     )
     eps = params["eps"]
-    table = lattice.commutator_table(spec, threads=threads)
+    table = lattice.commutator_table(spec)
     profile = lattice.cone_profile(spec, eps)
 
-    rows = sorted(table.values.items())
-    equal_time = max(abs(v) for (dx, dt), v in table.values.items() if dt == 0.0)
-    antisym = max(
-        abs(v + table.values[((-dx) % spec.sites, -dt)]) for (dx, dt), v in table.values.items()
+    equal_time = table.equal_time_max()
+    antisym = table.antisymmetry_max()
+    dts = table.dts()
+    rows = (
+        (dx, dt, v)
+        for dx, column in enumerate(table.values.T.tolist())
+        for dt, v in zip(dts, column)
     )
     commutator_path = f"{stem}_commutators.csv"
     cone_path = f"{stem}_cone.csv"
-    emit_csv(out / commutator_path, "dx,dt,D", ((dx, dt, v) for (dx, dt), v in rows))
+    emit_csv(out / commutator_path, "dx,dt,D", rows)
     emit_csv(out / cone_path, "dt,extent", profile.per_time_extent)
 
     extents = profile.extents()
@@ -473,7 +475,7 @@ def _build_graph(params, base_dir):
     return topology.CommutationGraph.from_edge_list_text(path.read_text(encoding="utf-8"))
 
 
-def _run_topology(params, *, seed, out, stem, threads, base_dir):
+def _run_topology(params, *, seed, out, stem, base_dir):
     graph = _build_graph(params, base_dir)
     report = topology.topology_report(
         graph, include_point_complements=params["includePointComplements"]
@@ -500,7 +502,7 @@ def _run_topology(params, *, seed, out, stem, threads, base_dir):
     return metrics, verdicts, [json_path]
 
 
-def _run_order(params, *, seed, out, stem, threads, base_dir):
+def _run_order(params, *, seed, out, stem, base_dir):
     events = params["events"]
     classical = causal.classical_order(events)
     if params["policy"] == "all":

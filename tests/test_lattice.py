@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcausal.fixtures import load_golden
 from qcausal.lattice import (
+    CommutatorField,
     LatticeSpec,
     canonical_check,
     commutation_graph,
@@ -71,16 +74,45 @@ def test_canonical_check_is_kronecker_delta():
 def test_commutator_table_invariants():
     spec = LatticeSpec(16, 0.5, 6)
     table = commutator_table(spec)
-    assert table.value(0, 0.0) == 0.0
-    assert len(table.values) == 16 * 11
-    for (dx, dt), value in table.values.items():
-        assert abs(value + table.values[((-dx) % 16, -dt)]) <= 1e-12
-    assert table.value(5 + 16, 2.0) == table.value(5, 2.0)
+    assert table.values.shape == (11, 16)
+    assert abs(table.value(0, 0)) <= 1e-12
+    assert table.equal_time_max() <= 1e-12
+    for step in range(-5, 6):
+        for dx in range(16):
+            assert abs(table.value(dx, step) + table.value(-dx, -step)) <= 1e-12
+    assert table.antisymmetry_max() <= 1e-12
+    assert table.value(5 + 16, 2) == table.value(5, 2)
+    assert table.value(5 - 16, -3) == table.value(5, -3)
+    assert table.dts() == [float(j) for j in range(-5, 6)]
 
 
-def test_commutator_table_threads_match_serial():
+def test_commutator_field_rejects_broken_invariants():
     spec = LatticeSpec(16, 0.5, 6)
-    assert commutator_table(spec, threads=4).values == commutator_table(spec).values
+    good = commutator_table(spec).values
+    nonzero_equal_time = good.copy()
+    nonzero_equal_time[5, 3] = 1e-9
+    with pytest.raises(ValueError, match="equal time"):
+        CommutatorField(spec, nonzero_equal_time)
+    skewed = good.copy()
+    skewed[7, 3] += 1e-9
+    with pytest.raises(ValueError, match="antisymmetry"):
+        CommutatorField(spec, skewed)
+
+
+@settings(deadline=None)
+@given(
+    sites=st.integers(8, 96),
+    mass=st.floats(0.05, 3.0),
+    time_steps=st.integers(2, 12),
+    time_step=st.floats(0.25, 2.0),
+)
+def test_commutator_table_matches_pauli_jordan(sites, mass, time_steps, time_step):
+    spec = LatticeSpec(sites, mass, time_steps, time_step)
+    table = commutator_table(spec)
+    assert table.values.shape == (2 * time_steps - 1, sites)
+    for j in range(-(time_steps - 1), time_steps):
+        for dx in range(sites):
+            assert abs(table.value(dx, j) - pauli_jordan(spec, dx, j * time_step)) <= 1e-13
 
 
 def test_commutation_graph_equal_time_edges():
@@ -110,6 +142,15 @@ def test_cone_profile_matches_golden():
         spec = LatticeSpec(section["sites"], section["mass"], section["timeSteps"])
         profile = cone_profile(spec, section["eps"])
         assert [[int(dt), e] for dt, e in profile.per_time_extent] == section["extents"]
+        from_point_sums = []
+        for j in range(1, (spec.time_steps + 1) // 2):
+            hits = [
+                dx
+                for dx in range(spec.sites // 2 + 1)
+                if abs(pauli_jordan(spec, dx, float(j))) >= section["eps"]
+            ]
+            from_point_sums.append((float(j), max(hits, default=0)))
+        assert list(profile.per_time_extent) == from_point_sums
         assert abs(profile.fitted_speed - section["fittedSpeed"]) <= 1e-9
         assert profile.broadening() == section["broadening"]
 

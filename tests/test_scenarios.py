@@ -175,18 +175,11 @@ def test_eps_override_changes_cone(tmp_path):
     assert overridden.inputs_echo["eps"] == 0.01
 
 
-def test_threads_do_not_change_bytes(tmp_path):
-    scenario = parse_scenario("kind = cone\nsites = 32\nmass = 0.5\ntimeSteps = 12\n")
-    run_scenario(scenario, tmp_path / "a", threads=1)
-    run_scenario(scenario, tmp_path / "b", threads=4)
-    for name in ("cone_commutators.csv", "cone_cone.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-
 def test_same_seed_reruns_byte_identical(tmp_path):
     texts = [
         "kind = bell\naxis = x\ntrials = 400\nseed = 21\n",
         "kind = order\nevents = e1 1.0 -0.99 @g; e2 1.0 0.99 @g; e3 1.5 1.2 @g\n",
+        "kind = cone\nsites = 32\nmass = 0.5\ntimeSteps = 12\n",
     ]
     for text in texts:
         scenario = parse_scenario(text)
