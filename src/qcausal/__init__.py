@@ -58,6 +58,7 @@ from .topology import (
     disjoint_clique_graph,
     generate_topology,
     maximal_cliques,
+    point_commutation,
     points_of_m,
     topology_report,
 )
@@ -76,6 +77,7 @@ from .causal import (
     enumerate_admissible_orientations,
     quantum_order,
     strict_extension_check,
+    summarize,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -284,35 +284,25 @@ class OrientationSummary:
     free_pairs: tuple
     admissible: tuple
     comparability: dict
-
-    @property
-    def orientation_count(self) -> int:
-        return 2 ** len(self.free_pairs)
+    orientation_count: int
 
     @property
     def admissible_count(self) -> int:
         return len(self.admissible)
 
 
-def enumerate_admissible_orientations(events) -> OrientationSummary:
-    """Try every direction assignment for the free pairs.
+def summarize(events, indexed_orientations) -> OrientationSummary:
+    """Keep the admissible ones among ``(index, Orientation)`` candidates.
 
+    Each admissible orientation keeps its index, which names its artifacts.
     Reports, per event pair, whether the pair is comparable in every
     admissible quantum order, in some, or in none.
     """
     events = _check_events(events)
-    classical = classical_order(events)
-    free = tuple(sorted(free_pairs(events), key=sorted))
-    if len(free) > MAX_FREE_PAIRS:
-        raise ResourceLimitError(f"{len(free)} free pairs exceeds {MAX_FREE_PAIRS}")
-
     admissible = []
-    for index in range(2 ** len(free)):
-        directed = []
-        for bit, pair in enumerate(free):
-            a, b = sorted(pair)
-            directed.append((b, a) if index >> bit & 1 else (a, b))
-        orientation = Orientation.from_pairs(directed)
+    tried = 0
+    for index, orientation in indexed_orientations:
+        tried += 1
         try:
             order = quantum_order(events, orientation)
         except CycleError:
@@ -326,7 +316,31 @@ def enumerate_admissible_orientations(events) -> OrientationSummary:
             comparability[frozenset((a, b))] = (
                 "all" if hits == len(admissible) else "some" if hits else "none"
             )
-    return OrientationSummary(events, classical, free, tuple(admissible), comparability)
+    free = tuple(sorted(free_pairs(events), key=sorted))
+    return OrientationSummary(
+        events, classical_order(events), free, tuple(admissible), comparability, tried
+    )
+
+
+def enumerate_admissible_orientations(events) -> OrientationSummary:
+    """Try every direction assignment for the free pairs.
+
+    Bit k of a candidate's index reverses the k-th free pair.
+    """
+    events = _check_events(events)
+    free = tuple(sorted(free_pairs(events), key=sorted))
+    if len(free) > MAX_FREE_PAIRS:
+        raise ResourceLimitError(f"{len(free)} free pairs exceeds {MAX_FREE_PAIRS}")
+
+    def candidates():
+        for index in range(2 ** len(free)):
+            directed = []
+            for bit, pair in enumerate(free):
+                a, b = sorted(pair)
+                directed.append((b, a) if index >> bit & 1 else (a, b))
+            yield index, Orientation.from_pairs(directed)
+
+    return summarize(events, candidates())
 
 
 @dataclass(frozen=True)

@@ -504,37 +504,14 @@ def _run_topology(params, *, seed, out, stem, base_dir):
 
 def _run_order(params, *, seed, out, stem, base_dir):
     events = params["events"]
-    classical = causal.classical_order(events)
     if params["policy"] == "all":
         summary = causal.enumerate_admissible_orientations(events)
-        orientation_count = summary.orientation_count
-        admissible = summary.admissible
-        comparability = summary.comparability
-        free = summary.free_pairs
     else:
-        free = tuple(sorted(causal.free_pairs(events), key=sorted))
-        candidates = causal.earliest_first_orientations(events)
-        admissible = []
-        for index, orientation in enumerate(candidates):
-            try:
-                admissible.append(
-                    causal.AdmissibleOrientation(
-                        index, orientation, causal.quantum_order(events, orientation)
-                    )
-                )
-            except causal.CycleError:
-                continue
-        admissible = tuple(admissible)
-        orientation_count = len(candidates)
-        comparability = {}
-        if admissible:
-            ids = sorted(e.id for e in events)
-            for i, a in enumerate(ids):
-                for b in ids[i + 1 :]:
-                    hits = sum(item.order.comparable(a, b) for item in admissible)
-                    comparability[frozenset((a, b))] = (
-                        "all" if hits == len(admissible) else "some" if hits else "none"
-                    )
+        summary = causal.summarize(
+            events, enumerate(causal.earliest_first_orientations(events))
+        )
+    classical = summary.classical
+    admissible = summary.admissible
 
     artifacts = []
 
@@ -552,10 +529,10 @@ def _run_order(params, *, seed, out, stem, base_dir):
     emit_json(
         out / f"{stem}_summary.json",
         {
-            "freePairs": sorted(sorted(p) for p in free),
-            "orientationCount": orientation_count,
+            "freePairs": sorted(sorted(p) for p in summary.free_pairs),
+            "orientationCount": summary.orientation_count,
             "admissibleCount": len(admissible),
-            "comparability": {",".join(sorted(k)): v for k, v in comparability.items()},
+            "comparability": {",".join(sorted(k)): v for k, v in summary.comparability.items()},
         },
     )
     artifacts.append(f"{stem}_summary.json")
@@ -563,8 +540,8 @@ def _run_order(params, *, seed, out, stem, base_dir):
     extensions = [causal.strict_extension_check(classical, item.order) for item in admissible]
     metrics = {
         "eventCount": len(events),
-        "freePairCount": len(free),
-        "orientationCount": orientation_count,
+        "freePairCount": len(summary.free_pairs),
+        "orientationCount": summary.orientation_count,
         "admissibleCount": len(admissible),
     }
     verdicts = {

@@ -8,14 +8,26 @@ seeds a subbasis, and the coarsest topology containing that subbasis is
 generated explicitly. Two readings of "minimal non-empty intersection" are
 implemented and surfaced side by side:
 
-    subfamilyIntersection  inclusion-minimal elements of the closure of the
-                           maximal-clique family under intersection (default)
+    subfamilyIntersection  inclusion-minimal non-empty intersections of
+                           subfamilies of maximal cliques (default)
     perObservable          for each observable, the intersection of all
                            maximal cliques containing it
 
-Only the second guarantees that every observable lands in some point; on a
-finite point set, demanding closed points on top of the coarsest topology
-forces discreteness, so point complements join the subbasis only on request.
+Neither needs the cliques. With N[v] the closed neighborhood of v, the
+intersection of the maximal cliques containing v is
+
+    Q_v = {u : N[v] ⊆ N[u]}
+
+(a maximal clique through v lies in N[v], so it takes in every u with
+N[v] ⊆ N[u]; an edge v-w with w outside N[u] extends to a maximal clique
+without u). A non-empty intersection of cliques contains Q_v for each of
+its members v, and every Q_v is such an intersection, so the subfamily
+points are the minimal Q_v.
+
+Only the second variant guarantees that every observable lands in some
+point; on a finite point set, demanding closed points on top of the
+coarsest topology forces discreteness, so point complements join the
+subbasis only on request.
 """
 
 from __future__ import annotations
@@ -29,7 +41,6 @@ PER_OBSERVABLE = "perObservable"
 
 MAX_CLIQUE_VERTICES = 500
 CLIQUE_CAP = 100_000
-CLOSURE_CAP = 100_000
 OPEN_SET_CAP = 2**20
 
 
@@ -176,51 +187,51 @@ class PointSet:
 
 
 def points_of_m(g: CommutationGraph, variant: str = SUBFAMILY) -> PointSet:
-    """Minimal non-empty intersections of the complete commuting sets."""
-    cliques = maximal_cliques(g)
+    """Minimal non-empty intersections of the complete commuting sets.
+
+    Row v of ``dom`` is Q_v = {u : N[v] ⊆ N[u]}, the intersection of the
+    maximal cliques containing v; ``perObservable`` is the distinct Q_v and
+    ``subfamilyIntersection`` the inclusion-minimal ones (module docstring).
+    Since u ∈ Q_v exactly when Q_u ⊆ Q_v, Q_v is minimal when every such u
+    also has v ∈ Q_u.
+    """
+    adj = g.adjacency.astype(np.int64)
+    dom = adj @ (1 - adj).T == 0
     if variant == SUBFAMILY:
-        family = set(cliques)
-        frontier = set(cliques)
-        while frontier:
-            fresh = set()
-            for a in frontier:
-                for b in family:
-                    c = a & b
-                    if c and c not in family:
-                        fresh.add(c)
-            if len(family) + len(fresh) > CLOSURE_CAP:
-                raise ResourceLimitError(f"intersection closure exceeds {CLOSURE_CAP} sets")
-            family |= fresh
-            frontier = fresh
-        minimal = [p for p in family if not any(q < p for q in family)]
-        points = sorted(minimal, key=sorted)
+        rows = dom[~(dom & ~dom.T).any(axis=1)]
     elif variant == PER_OBSERVABLE:
-        seen = []
-        for o in range(g.size):
-            containing = [c for c in cliques if o in c]
-            point = frozenset.intersection(*containing)
-            if point not in seen:
-                seen.append(point)
-        points = sorted(seen, key=sorted)
+        rows = dom
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return PointSet(tuple(points), variant, g.size)
+    points = {frozenset(np.flatnonzero(row).tolist()) for row in rows}
+    return PointSet(tuple(sorted(points, key=sorted)), variant, g.size)
 
 
 def points_commute(g: CommutationGraph, p, q) -> bool:
+    """Definition: every observable of p commutes with every one of q."""
     rows = sorted(p)
     cols = sorted(q)
     return bool(g.adjacency[np.ix_(rows, cols)].all())
+
+
+def point_commutation(g: CommutationGraph, point_set: PointSet) -> np.ndarray:
+    """Boolean matrix: entry (i, j) is ``points_commute`` of points i and j.
+
+    With M the point-membership matrix, points i and j fail to commute
+    exactly when (M (1 - A) M^T)[i, j] counts some non-commuting pair.
+    """
+    members = np.zeros((len(point_set), g.size), dtype=np.int64)
+    for i, p in enumerate(point_set.points):
+        members[i, list(p)] = 1
+    return members @ (1 - g.adjacency.astype(np.int64)) @ members.T == 0
 
 
 def commutant_neighborhood(g: CommutationGraph, point_set: PointSet, point_index: int):
     """Indices of every point whose observables all commute with this one's."""
     if not 0 <= point_index < len(point_set):
         raise ValueError(f"point index {point_index} out of range")
-    base = point_set.points[point_index]
-    return frozenset(
-        i for i, q in enumerate(point_set.points) if points_commute(g, base, q)
-    )
+    row = point_commutation(g, point_set)[point_index]
+    return frozenset(np.flatnonzero(row).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,19 +406,9 @@ def topology_report(
     points = points_of_m(g, SUBFAMILY)
     points_po = points_of_m(g, PER_OBSERVABLE)
 
-    neighborhoods = tuple(
-        commutant_neighborhood(g, points, i) for i in range(len(points))
-    )
-    point_adj = np.array(
-        [
-            [points_commute(g, p, q) for q in points.points]
-            for p in points.points
-        ],
-        dtype=bool,
-    )
-    point_graph = CommutationGraph(
-        tuple(f"p{i}" for i in range(len(points))), point_adj
-    )
+    commute = point_commutation(g, points)
+    neighborhoods = tuple(frozenset(np.flatnonzero(row).tolist()) for row in commute)
+    point_graph = CommutationGraph(tuple(f"p{i}" for i in range(len(points))), commute)
     hypersurfaces = maximal_cliques(point_graph)
 
     topology = generate_topology(

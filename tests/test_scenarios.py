@@ -243,6 +243,10 @@ def test_earliest_first_policy(tmp_path):
     report = run_scenario(scenario, tmp_path)
     assert report.metrics["orientationCount"] == 2  # tie on e1/e2 branched
     assert report.verdicts["witnessComparable"] is True
+    summary = json.loads((tmp_path / "order_summary.json").read_text())
+    assert summary["orientationCount"] == 2
+    assert summary["admissibleCount"] == 2
+    assert summary["comparability"] == {"e1,e2": "all", "e1,e3": "all", "e2,e3": "all"}
 
 
 def test_run_report_requires_metrics():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcausal.lattice import LatticeSpec, commutation_graph, pauli_jordan
 from qcausal.topology import (
@@ -13,6 +15,7 @@ from qcausal.topology import (
     disjoint_clique_graph,
     generate_topology,
     maximal_cliques,
+    point_commutation,
     points_of_m,
     points_commute,
     topology_report,
@@ -98,15 +101,6 @@ def test_maximal_cliques_vertex_cap():
         maximal_cliques(g)
 
 
-def test_points_closure_cap(monkeypatch):
-    import qcausal.topology as topo
-
-    monkeypatch.setattr(topo, "CLOSURE_CAP", 2)
-    g = shared_vertex_graph()  # closure family {A, B, {v}} exceeds a cap of 2
-    with pytest.raises(ResourceLimitError, match="closure"):
-        points_of_m(g, SUBFAMILY)
-
-
 def test_maximal_cliques_count_cap():
     # complete 11-partite graph with parts of 3: 3^11 > 1e5 maximal cliques
     n, part = 33, 3
@@ -169,6 +163,61 @@ def test_points_match_bruteforce_on_random_graphs():
             continue
         assert set(points_of_m(g, SUBFAMILY).points) == brute_force_points(g)
         checked += 1
+
+
+@st.composite
+def symmetric_graphs(draw, max_vertices=12):
+    n = draw(st.integers(1, max_vertices))
+    pairs = n * (n - 1) // 2
+    upper = draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs))
+    adj = np.eye(n, dtype=bool)
+    adj[np.triu_indices(n, 1)] = upper
+    return CommutationGraph(tuple(f"o{i}" for i in range(n)), adj | adj.T)
+
+
+def clique_intersections(g, cliques):
+    """Per observable, the intersection of the maximal cliques containing it."""
+    return {frozenset.intersection(*[c for c in cliques if v in c]) for v in range(g.size)}
+
+
+def closure_points(g):
+    """Minimal sets of the maximal cliques' intersection closure (reference)."""
+    family = set(maximal_cliques(g))
+    frontier = set(family)
+    while frontier:
+        fresh = {a & b for a in frontier for b in family} - family - {frozenset()}
+        family |= fresh
+        frontier = fresh
+    return {p for p in family if not any(q < p for q in family)}
+
+
+@settings(deadline=None, max_examples=200)
+@given(symmetric_graphs())
+def test_points_and_commutation_match_definitions(g):
+    cliques = maximal_cliques(g)
+    expected = {
+        PER_OBSERVABLE: clique_intersections(g, cliques),
+        SUBFAMILY: closure_points(g),
+    }
+    for variant, points in expected.items():
+        point_set = points_of_m(g, variant)
+        assert point_set.points == tuple(sorted(points, key=sorted))
+        commute = point_commutation(g, point_set)
+        for i, p in enumerate(point_set.points):
+            for j, q in enumerate(point_set.points):
+                assert commute[i, j] == points_commute(g, p, q)
+
+
+def test_lattice_16x6_points_without_closure():
+    # 96 observables and 15,374 maximal cliques: the intersection closure of
+    # those cliques outgrew 100,000 sets on this graph.
+    g = commutation_graph(LatticeSpec(16, 1.0, 6), 1e-3)
+    report = topology_report(g)
+    assert len(report.cliques) == 15374
+    per_observable = clique_intersections(g, report.cliques)
+    minimal = {p for p in per_observable if not any(q < p for q in per_observable)}
+    assert set(report.points_per_observable.points) == per_observable
+    assert set(report.points_subfamily.points) == minimal
 
 
 def test_per_observable_covers_everything():
@@ -282,6 +331,18 @@ def test_lattice_report_slices_and_cap():
     assert report.topology.size_cap_hit is True
     assert report.topology.is_t0 is None  # unknown under the cap
     assert report.topology.specialization_chain_length() >= 1
+
+
+def test_report_enumerates_cliques_once_per_graph(monkeypatch):
+    import qcausal.topology as topo
+
+    sizes = []
+    enumerate_cliques = topo.maximal_cliques
+    monkeypatch.setattr(
+        topo, "maximal_cliques", lambda g: sizes.append(g.size) or enumerate_cliques(g)
+    )
+    topology_report(shared_vertex_graph())
+    assert sizes == [5, 1]  # the observables, then the single point {v}
 
 
 def test_report_json_contract():
