@@ -72,12 +72,10 @@ from .causal import (
     OrientationSummary,
     boost,
     classical_order,
-    earliest_first_orientations,
     enforcement_edges,
     enumerate_admissible_orientations,
     quantum_order,
     strict_extension_check,
-    summarize,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

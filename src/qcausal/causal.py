@@ -8,6 +8,14 @@ spacelike measurements, so it comes from an explicit orientation and
 conclusions are quantified over all acyclic orientations. The quantum
 order is the transitive closure of classical plus enforcement edges; an
 orientation whose closure contains a cycle is inadmissible.
+
+``enumerate_admissible_orientations`` searches depth-first over the free
+(spacelike same-group) pairs and cuts a branch at the first cycle. That is
+exact: an acyclic partial orientation extends to a full one along a
+topological order, so every surviving branch reaches an admissible leaf.
+One group of n pairwise-spacelike events has n! of them (Stanley, Discrete
+Math. 5 (1973) 171). ``orientation_count`` is the number of orientations
+the policy allows: 2^free for ``all``, 2^ties for ``earliest-first``.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import numpy as np
 
 from .topology import ResourceLimitError
 
-MAX_FREE_PAIRS = 20
+MAX_ADMISSIBLE = 4096
 
 
 class CycleError(ValueError):
@@ -123,15 +131,9 @@ class CausalOrder:
 
     def hasse_edges(self):
         """Covering pairs: a before b with nothing strictly between."""
-        n = len(self.ids)
-        edges = []
-        for i in range(n):
-            for j in range(n):
-                if not self.relation[i, j]:
-                    continue
-                if not any(self.relation[i, k] and self.relation[k, j] for k in range(n)):
-                    edges.append((self.ids[i], self.ids[j]))
-        return sorted(edges)
+        rel = self.relation.astype(int)
+        cover = self.relation & ~(rel @ rel > 0)
+        return sorted((self.ids[i], self.ids[j]) for i, j in np.argwhere(cover).tolist())
 
 
 def classical_order(events) -> CausalOrder:
@@ -291,56 +293,82 @@ class OrientationSummary:
         return len(self.admissible)
 
 
-def summarize(events, indexed_orientations) -> OrientationSummary:
-    """Keep the admissible ones among ``(index, Orientation)`` candidates.
+def enumerate_admissible_orientations(events, policy="all") -> OrientationSummary:
+    """Every admissible orientation of the free pairs that the policy allows.
 
-    Each admissible orientation keeps its index, which names its artifacts.
-    Reports, per event pair, whether the pair is comparable in every
-    admissible quantum order, in some, or in none.
+    ``all`` lets each free pair go either way, and bit k of the index
+    reverses the k-th sorted free pair. ``earliest-first`` directs a pair
+    from its earlier event and lets only time ties go either way; the index
+    counts tie choices in ``itertools.product`` order, first tie most
+    significant. Results come in index order, with each event pair's
+    comparability over them: in every admissible order, in some, or in none.
     """
+    if policy not in ("all", "earliest-first"):
+        raise ValueError(f"unknown orientation policy {policy!r}")
     events = _check_events(events)
-    admissible = []
-    tried = 0
-    for index, orientation in indexed_orientations:
-        tried += 1
-        try:
-            order = quantum_order(events, orientation)
-        except CycleError:
-            continue
-        admissible.append(AdmissibleOrientation(index, orientation, order))
+    classical = classical_order(events)
+    ids = classical.ids
+    pos = {event_id: k for k, event_id in enumerate(ids)}
+    t = {e.id: e.t for e in events}
+    eye = np.eye(len(ids), dtype=bool)
 
-    comparability = {}
-    if admissible:
-        for a, b in itertools.combinations(sorted(e.id for e in events), 2):
-            hits = sum(item.order.comparable(a, b) for item in admissible)
-            comparability[frozenset((a, b))] = (
-                "all" if hits == len(admissible) else "some" if hits else "none"
-            )
+    def closed_with(reach, u, v):
+        u, v = pos[u], pos[v]
+        return reach | np.outer(reach[:, u] | eye[u], reach[v] | eye[v])
+
+    # Classical and forced edges run strictly forward in time, so only the
+    # branching pairs can close a cycle.
     free = tuple(sorted(free_pairs(events), key=sorted))
-    return OrientationSummary(
-        events, classical_order(events), free, tuple(admissible), comparability, tried
+    reach, forced, branching = classical.relation, [], []
+    for pair in free:
+        a, b = sorted(pair)
+        if policy == "all" or not (t[a] < t[b] or t[b] < t[a]):
+            branching.append((a, b))
+        else:
+            forced.append((a, b) if t[a] < t[b] else (b, a))
+            reach = closed_with(reach, *forced[-1])
+    if policy == "all":
+        branching.reverse()  # the last free pair's bit is the most significant
+    # Most significant pair first, so the indices come out in order.
+    m = len(branching)
+    levels = [(a, b, 1 << (m - 1 - i)) for i, (a, b) in enumerate(branching)]
+    found = []
+
+    def search(level, reach, index):
+        if level == m:
+            if len(found) == MAX_ADMISSIBLE:
+                raise ResourceLimitError(
+                    f"more than {MAX_ADMISSIBLE} admissible orientations; "
+                    "give `events` fewer spacelike same-group pairs"
+                )
+            found.append((index, reach))
+            return
+        a, b, weight = levels[level]
+        for u, v, bit in ((a, b, 0), (b, a, weight)):
+            if not reach[pos[v], pos[u]]:  # else u -> v closes a cycle
+                search(level + 1, closed_with(reach, u, v), index + bit)
+
+    search(0, reach, 0)
+    admissible = tuple(
+        AdmissibleOrientation(
+            index,
+            Orientation.from_pairs(
+                forced + [(b, a) if index & w else (a, b) for a, b, w in levels]
+            ),
+            CausalOrder(ids, relation),
+        )
+        for index, relation in found
     )
-
-
-def enumerate_admissible_orientations(events) -> OrientationSummary:
-    """Try every direction assignment for the free pairs.
-
-    Bit k of a candidate's index reverses the k-th free pair.
-    """
-    events = _check_events(events)
-    free = tuple(sorted(free_pairs(events), key=sorted))
-    if len(free) > MAX_FREE_PAIRS:
-        raise ResourceLimitError(f"{len(free)} free pairs exceeds {MAX_FREE_PAIRS}")
-
-    def candidates():
-        for index in range(2 ** len(free)):
-            directed = []
-            for bit, pair in enumerate(free):
-                a, b = sorted(pair)
-                directed.append((b, a) if index >> bit & 1 else (a, b))
-            yield index, Orientation.from_pairs(directed)
-
-    return summarize(events, candidates())
+    comparability = {}
+    if found:
+        stacked = np.array([relation for _, relation in found])
+        hits = (stacked | stacked.transpose(0, 2, 1)).sum(axis=0)
+        for a, b in itertools.combinations(sorted(ids), 2):
+            count = hits[pos[a], pos[b]]
+            comparability[frozenset((a, b))] = (
+                "all" if count == len(found) else "some" if count else "none"
+            )
+    return OrientationSummary(events, classical, free, admissible, comparability, 2**m)
 
 
 @dataclass(frozen=True)
@@ -363,29 +391,6 @@ def strict_extension_check(classical: CausalOrder, quantum: CausalOrder) -> Exte
     if not extra:
         return ExtensionVerdict(False, None, None)
     return ExtensionVerdict(True, extra[0], None)
-
-
-def earliest_first_orientations(events):
-    """Orient each free pair from the earlier event; ties branch."""
-    events = _check_events(events)
-    by_id = {e.id: e for e in events}
-    fixed = []
-    tied = []
-    for pair in sorted(free_pairs(events), key=sorted):
-        a, b = sorted(pair)
-        if by_id[a].t < by_id[b].t:
-            fixed.append((a, b))
-        elif by_id[b].t < by_id[a].t:
-            fixed.append((b, a))
-        else:
-            tied.append((a, b))
-    out = []
-    for flips in itertools.product((False, True), repeat=len(tied)):
-        directed = list(fixed)
-        for (a, b), flip in zip(tied, flips):
-            directed.append((b, a) if flip else (a, b))
-        out.append(Orientation.from_pairs(directed))
-    return tuple(out)
 
 
 THREE_PARTY_EVENTS = (

@@ -261,8 +261,9 @@ def _jsonable(value):
 
 
 def emit_csv(path: Path, header: str, rows) -> None:
+    """Rows of plain Python values (callers pass ``.tolist()`` output)."""
     lines = [header]
-    lines.extend(",".join(str(_jsonable(cell)) for cell in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -504,12 +505,7 @@ def _run_topology(params, *, seed, out, stem, base_dir):
 
 def _run_order(params, *, seed, out, stem, base_dir):
     events = params["events"]
-    if params["policy"] == "all":
-        summary = causal.enumerate_admissible_orientations(events)
-    else:
-        summary = causal.summarize(
-            events, enumerate(causal.earliest_first_orientations(events))
-        )
+    summary = causal.enumerate_admissible_orientations(events, params["policy"])
     classical = summary.classical
     admissible = summary.admissible
 

@@ -1,7 +1,14 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from qcausal import causal
 from qcausal.causal import (
+    MAX_ADMISSIBLE,
     THREE_PARTY_EVENTS,
     CausalOrder,
     CycleError,
@@ -9,7 +16,6 @@ from qcausal.causal import (
     Orientation,
     boost,
     classical_order,
-    earliest_first_orientations,
     enforcement_edges,
     enumerate_admissible_orientations,
     free_pairs,
@@ -131,10 +137,14 @@ def test_enumeration_ungrouped_events_keep_classical_order():
     assert summary.admissible[0].order.pairs() == summary.classical.pairs()
 
 
-def test_enumeration_free_pair_cap():
+def test_enumeration_admissible_cap():
     crowd = tuple(Event(f"e{i}", 0.0, (10.0 * i,), "g") for i in range(7))
-    with pytest.raises(ResourceLimitError):
-        enumerate_admissible_orientations(crowd)  # C(7,2) = 21 free pairs
+    assert math.factorial(7) > MAX_ADMISSIBLE
+    with pytest.raises(ResourceLimitError, match="events"):
+        enumerate_admissible_orientations(crowd)  # 7! = 5040 admissible orientations
+    # every one of the 21 pairs is a time tie, so earliest-first branches on all
+    with pytest.raises(ResourceLimitError, match="events"):
+        enumerate_admissible_orientations(crowd, "earliest-first")
 
 
 def test_strict_extension_check_edges():
@@ -183,13 +193,17 @@ def test_boost_changes_coordinates_but_not_intervals():
 
 
 def test_earliest_first_orientation_branches_on_ties():
-    orientations = earliest_first_orientations(THREE_PARTY_EVENTS)
+    summary = enumerate_admissible_orientations(THREE_PARTY_EVENTS, "earliest-first")
+    assert summary.orientation_count == 2
+    orientations = [item.orientation for item in summary.admissible]
     # e1/e2 are simultaneous (tie, branched); e1 precedes e3 in coordinate time
     assert len(orientations) == 2
     for orientation in orientations:
         assert orientation.direction[frozenset({"e1", "e3"})] == ("e1", "e3")
     directions = {o.direction[frozenset({"e1", "e2"})] for o in orientations}
     assert directions == {("e1", "e2"), ("e2", "e1")}
+    with pytest.raises(ValueError, match="policy"):
+        enumerate_admissible_orientations(THREE_PARTY_EVENTS, "latest-first")
 
 
 def test_hasse_edges_drop_transitive_links():
@@ -209,3 +223,91 @@ def test_orientation_validation():
         Orientation({frozenset({"a", "b"}): ("a", "c")})
     with pytest.raises(ValueError, match="inconsistent"):
         Orientation({frozenset({"a"}): ("a", "a")})
+
+
+def _brute_force(events, policy):
+    """Every orientation the policy allows, each checked by quantum_order."""
+    free = sorted(free_pairs(events), key=sorted)
+    t = {e.id: e.t for e in events}
+    candidates = []
+    if policy == "all":
+        for index in range(2 ** len(free)):
+            directed = []
+            for bit, pair in enumerate(free):
+                a, b = sorted(pair)
+                directed.append((b, a) if index >> bit & 1 else (a, b))
+            candidates.append(directed)
+    else:
+        fixed, tied = [], []
+        for pair in free:
+            a, b = sorted(pair)
+            if t[a] < t[b]:
+                fixed.append((a, b))
+            elif t[b] < t[a]:
+                fixed.append((b, a))
+            else:
+                tied.append((a, b))
+        for flips in itertools.product((False, True), repeat=len(tied)):
+            candidates.append(
+                fixed + [(b, a) if flip else (a, b) for (a, b), flip in zip(tied, flips)]
+            )
+    admissible = []
+    for index, directed in enumerate(candidates):
+        orientation = Orientation.from_pairs(directed)
+        try:
+            admissible.append((index, orientation, quantum_order(events, orientation)))
+        except CycleError:
+            continue
+    comparability = {}
+    if admissible:
+        for a, b in itertools.combinations(sorted(e.id for e in events), 2):
+            hits = sum(order.comparable(a, b) for _, _, order in admissible)
+            comparability[frozenset((a, b))] = (
+                "all" if hits == len(admissible) else "some" if hits else "none"
+            )
+    return tuple(free), admissible, comparability, len(candidates)
+
+
+@st.composite
+def event_sets(draw):
+    n = draw(st.integers(1, 7))
+    t = st.integers(0, 2).map(float)  # few times: many ties
+    x = st.integers(-6, 6).map(float)
+    group = st.sampled_from([None, "g", "h"])
+    return tuple(Event(f"e{i}", draw(t), (draw(x),), draw(group)) for i in range(n))
+
+
+@settings(deadline=None, max_examples=300)
+@given(event_sets(), st.sampled_from(["all", "earliest-first"]))
+def test_search_matches_brute_force(events, policy):
+    assume(len(free_pairs(events)) <= 10)
+    free, admissible, comparability, count = _brute_force(events, policy)
+    summary = enumerate_admissible_orientations(events, policy)
+    assert summary.free_pairs == free
+    assert summary.orientation_count == count
+    assert [item.index for item in summary.admissible] == [index for index, _, _ in admissible]
+    for item, (_, orientation, order) in zip(summary.admissible, admissible):
+        assert item.orientation == orientation
+        assert np.array_equal(item.order.relation, order.relation)
+    assert summary.comparability == comparability
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_spacelike_group_has_factorial_admissible(n):
+    # |chi(-1)| of the complete graph K_n is n! (Stanley 1973)
+    group = tuple(Event(f"e{i}", 0.0, (10.0 * i,), "g") for i in range(n))
+    pairs = n * (n - 1) // 2
+    for policy in ("all", "earliest-first"):  # every pair is a time tie
+        summary = enumerate_admissible_orientations(group, policy)
+        assert summary.orientation_count == 2**pairs
+        assert summary.admissible_count == math.factorial(n)
+        assert list(summary.comparability.values()) == ["all"] * pairs
+
+
+def test_search_builds_no_order_one_orientation_at_a_time(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("quantum_order called by the search")
+
+    monkeypatch.setattr(causal, "quantum_order", refuse)
+    summary = enumerate_admissible_orientations(THREE_PARTY_EVENTS)
+    assert [item.index for item in summary.admissible] == [0, 1, 3]

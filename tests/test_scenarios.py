@@ -257,6 +257,7 @@ def test_run_report_requires_metrics():
 
 
 def test_scenario_resource_error_exit_code(tmp_path):
+    # one group of 7 spacelike events: 7! = 5040 admissible orientations, past the cap
     crowd = "; ".join(f"e{i} 0 {10.0 * i} @g" for i in range(7))
     scenario_file = tmp_path / "crowd.scn"
     scenario_file.write_text(f"kind = order\nevents = {crowd}\n")
