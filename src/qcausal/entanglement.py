@@ -16,9 +16,10 @@ import numpy as np
 from .quantum import (
     StateVector,
     UnitaryOp,
-    _sample_with_rng,
     apply_unitary,
     basis_state,
+    born_cumulative,
+    born_index,
     collapse,
     embed_pvm,
     measure_probabilities,
@@ -27,6 +28,7 @@ from .quantum import (
 )
 
 AXIS_TOL = 1e-10
+SAMPLE_CHUNK = 1 << 16  # trials per batch of draws in epr_consistency
 
 
 def xz_axis(angle_rad: float) -> np.ndarray:
@@ -230,23 +232,60 @@ def lhv_max_chsh() -> float:
     return float(max(value for _, value in enumerate_lhv_strategies()))
 
 
+def _collapse_allowed(obs, psi: StateVector) -> list:
+    """Per branch: does `collapse` accept it (probability above NORM_TOL)?"""
+    allowed = []
+    for index in range(len(obs.branches)):
+        try:
+            collapse(obs, index, psi)
+        except ValueError:
+            allowed.append(False)
+        else:
+            allowed.append(True)
+    return allowed
+
+
 def epr_consistency(axis, trials: int, seed: int, axis_b=None) -> float:
     """Fraction of agreeing outcome pairs under sequential measurement.
 
     Measures site 0 of the correlated pair, collapses, then measures site 1;
-    `axis_b` defaults to the same axis on both wings.
+    `axis_b` defaults to the same axis on both wings. Each trial draws one
+    uniform number for A and then one for B from a single seeded stream.
+
+    A's outcome leaves one of two collapsed states, so A's Born cumulative
+    and B's cumulative for each collapsed state are computed once. The draws
+    come in batches of at most 2 * SAMPLE_CHUNK numbers, A's at the even
+    positions and B's at the odd ones, which is the order of the per-trial
+    loop. The result therefore equals the per-trial definition bit for bit,
+    including the ValueError for a drawn branch that `collapse` rejects.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     pvm_a = embed_pvm(spin_pvm(axis), 0, 2)
     pvm_b = embed_pvm(spin_pvm(axis if axis_b is None else axis_b), 1, 2)
     psi = bell_phi_plus()
+    cum_a = born_cumulative(pvm_a, psi)
+    # A's marginal on the pair is 1/2 per branch, so both collapses exist.
+    after_a = [collapse(pvm_a, index, psi) for index in range(cum_a.size)]
+    cum_b = [born_cumulative(pvm_b, state) for state in after_a]
+    allowed_b = np.array([_collapse_allowed(pvm_b, state) for state in after_a])
+
     rng = np.random.default_rng(seed)
     agreements = 0
-    for _ in range(trials):
-        idx_a, collapsed = _sample_with_rng(pvm_a, psi, rng)
-        idx_b, _ = _sample_with_rng(pvm_b, collapsed, rng)
-        agreements += idx_a == idx_b
+    for start in range(0, trials, SAMPLE_CHUNK):
+        draws = rng.random(2 * min(SAMPLE_CHUNK, trials - start))
+        idx_a = born_index(cum_a, draws[0::2])
+        draws_b = draws[1::2]
+        idx_b = np.empty_like(idx_a)
+        for branch, cum in enumerate(cum_b):
+            rows = idx_a == branch
+            idx_b[rows] = born_index(cum, draws_b[rows])
+        rejected = ~allowed_b[idx_a, idx_b]
+        if rejected.any():
+            k = int(np.argmax(rejected))
+            # Replay the first rejected trial to raise collapse's own error.
+            collapse(pvm_b, int(idx_b[k]), after_a[idx_a[k]])
+        agreements += int(np.count_nonzero(idx_a == idx_b))
     return agreements / trials
 
 

@@ -200,12 +200,22 @@ def apply_unitary(u: UnitaryOp, psi: StateVector) -> StateVector:
     return StateVector(u.matrix @ psi.amplitudes)
 
 
-def _sample_with_rng(obs: Pvm, psi: StateVector, rng: np.random.Generator):
+def born_cumulative(obs: Pvm, psi: StateVector) -> np.ndarray:
+    """Running sum of the Born probabilities, each clipped at 0 first."""
     record = measure_probabilities(obs, psi)
-    probs = np.clip([p for _, p in record.outcomes], 0.0, None)
-    cumulative = np.cumsum(probs)
-    index = int(np.searchsorted(cumulative, rng.random(), side="right"))
-    index = min(index, len(probs) - 1)
+    return np.cumsum(np.clip([p for _, p in record.outcomes], 0.0, None))
+
+
+def born_index(cumulative: np.ndarray, draws):
+    """Branch index for uniform draws in [0, 1): the first branch whose running
+    sum exceeds the draw, clamped to the last branch when rounding leaves the
+    total just below 1. Works on one draw or an array of them.
+    """
+    return np.minimum(np.searchsorted(cumulative, draws, side="right"), cumulative.size - 1)
+
+
+def _sample_with_rng(obs: Pvm, psi: StateVector, rng: np.random.Generator):
+    index = int(born_index(born_cumulative(obs, psi), rng.random()))
     return index, collapse(obs, index, psi)
 
 

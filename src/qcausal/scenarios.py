@@ -38,9 +38,12 @@ def _parse_int(raw: str) -> int:
 
 def _parse_float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ScenarioError(f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ScenarioError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_bool(raw: str) -> bool:
@@ -268,7 +271,9 @@ def emit_csv(path: Path, header: str, rows) -> None:
 
 
 def emit_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    """Strict JSON: a NaN or infinity raises ValueError instead of writing `NaN`."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _echo(value):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from qcausal import entanglement
 from qcausal.entanglement import (
     CorrelationSetting,
     EraserConfig,
@@ -21,10 +24,21 @@ from qcausal.entanglement import (
     maximize_chsh,
     xz_axis,
 )
-from qcausal.quantum import PAULI_X, PAULI_Y, PAULI_Z, amplitude, basis_state
+from qcausal.quantum import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    StateVector,
+    _sample_with_rng,
+    amplitude,
+    basis_state,
+    embed_pvm,
+    spin_pvm,
+)
 
 Z_AXIS = (0.0, 0.0, 1.0)
 X_AXIS = (1.0, 0.0, 0.0)
+UNIT = st.floats(-1.0, 1.0, allow_nan=False)
 
 
 def spin_expectation(psi, axis_a, axis_b):
@@ -164,8 +178,6 @@ def test_maximize_chsh_refinement_monotone():
 
 
 def _normalized(amps):
-    from qcausal.quantum import StateVector
-
     return StateVector.normalized(amps)
 
 
@@ -173,6 +185,46 @@ def test_maximize_chsh_settings_reproduce_value():
     settings, best = maximize_chsh(bell_phi_plus(), 5.0)
     a0, a1, b0, b1 = settings.axes()
     assert abs(chsh(bell_phi_plus(), a0, a1, b0, b1) - best) <= 1e-10
+
+
+def xz_block(psi):
+    """T_ij = <psi| s_i (x) s_j |psi> for s in (X, Z), from Pauli Kron products."""
+    paulis = (PAULI_X, PAULI_Z)
+    amps = psi.amplitudes
+    return np.array(
+        [[np.real(np.vdot(amps, np.kron(p, q) @ amps)) for q in paulis] for p in paulis]
+    )
+
+
+def horodecki_ceiling(psi):
+    """Largest CHSH sum over x-z-plane axes: 2 sqrt(s1^2 + s2^2) over the
+    singular values of the x-z correlation block (Horodecki, Phys. Lett. A
+    200 (1995) 340)."""
+    s1, s2 = np.linalg.svd(xz_block(psi), compute_uv=False)
+    return 2.0 * math.sqrt(s1 * s1 + s2 * s2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    parts=st.lists(UNIT, min_size=8, max_size=8),
+    real=st.booleans(),
+)
+def test_maximize_chsh_meets_horodecki_ceiling(parts, real):
+    amps = np.array(parts[:4]) + (0.0 if real else 1j * np.array(parts[4:]))
+    assume(np.linalg.norm(amps) > 1e-3)
+    psi = StateVector.normalized(amps)
+    ceiling = horodecki_ceiling(psi)
+    assert maximize_chsh(psi, 5.0)[1] <= ceiling + 1e-12
+    best = maximize_chsh(psi, 2.5)[1]
+    assert best <= ceiling + 1e-12
+    assert ceiling - best < 1e-2
+
+
+def test_maximize_chsh_is_tsirelson_on_phi_plus():
+    phi = bell_phi_plus()
+    assert abs(horodecki_ceiling(phi) - 2 * math.sqrt(2)) <= 1e-12
+    for step in (5.0, 2.5, 1.0):
+        assert abs(maximize_chsh(phi, step)[1] - 2 * math.sqrt(2)) <= 1e-12
 
 
 def test_maximize_chsh_rejects_coarse_grid():
@@ -219,6 +271,87 @@ def test_epr_orthogonal_axes_agreement_half():
 def test_epr_rejects_zero_trials():
     with pytest.raises(ValueError):
         epr_consistency(Z_AXIS, 0, seed=1)
+
+
+def epr_per_trial(axis, trials, seed, axis_b=None):
+    """Reference definition: one A draw, collapse, one B draw, per trial."""
+    pvm_a = embed_pvm(spin_pvm(axis), 0, 2)
+    pvm_b = embed_pvm(spin_pvm(axis if axis_b is None else axis_b), 1, 2)
+    psi = bell_phi_plus()
+    rng = np.random.default_rng(seed)
+    agreements = 0
+    for _ in range(trials):
+        idx_a, collapsed = _sample_with_rng(pvm_a, psi, rng)
+        idx_b, _ = _sample_with_rng(pvm_b, collapsed, rng)
+        agreements += idx_a == idx_b
+    return agreements / trials
+
+
+class RecordingGenerator:
+    """A seeded numpy Generator that records the size of every draw."""
+
+    def __init__(self, make, seed, sizes):
+        self._rng = make(seed)
+        self._sizes = sizes
+
+    def random(self, size=None):
+        self._sizes.append(1 if size is None else size)
+        return self._rng.random(size)
+
+
+@st.composite
+def unit_axes(draw):
+    vec = np.array([draw(UNIT), draw(UNIT), draw(UNIT)])
+    norm = np.linalg.norm(vec)
+    assume(norm > 1e-3)
+    return tuple(vec / norm)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    axis_a=unit_axes(),
+    axis_b=st.one_of(st.none(), unit_axes()),
+    trials=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_epr_equals_per_trial_loop(axis_a, axis_b, trials, seed):
+    expected = epr_per_trial(axis_a, trials, seed, axis_b)
+    make = np.random.default_rng
+    for chunk in (1, 3, 64, entanglement.SAMPLE_CHUNK):
+        sizes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entanglement, "SAMPLE_CHUNK", chunk)
+            mp.setattr(np.random, "default_rng", lambda s: RecordingGenerator(make, s, sizes))
+            assert epr_consistency(axis_a, trials, seed, axis_b=axis_b) == expected
+        assert sum(sizes) == 2 * trials
+        assert max(sizes) <= 2 * chunk
+
+
+class FixedDraws:
+    """Stands in for a Generator: hands out the given uniform draws in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self, size=None):
+        if size is None:
+            return next(self._values)
+        return np.array([next(self._values) for _ in range(size)])
+
+
+def test_batched_epr_raises_like_per_trial_loop_on_impossible_branch(monkeypatch):
+    # At 0.5 degrees B's running sum after A = +1 tops out at 1 - 2^-52, so a
+    # B draw above it is clamped onto the -1 branch, whose probability is
+    # ~1e-34: collapse rejects it in the third trial.
+    axis = xz_axis(math.radians(0.5))
+    draws = [0.25, 0.5, 0.75, 0.5, 0.25, float(np.nextafter(1.0, 0.0))]
+    errors = []
+    for run in (epr_per_trial, epr_consistency):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedDraws(draws))
+        with pytest.raises(ValueError, match="impossible outcome") as info:
+            run(axis, 3, 0)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
 
 
 def test_no_signaling_marginals_subgrid():

@@ -7,6 +7,7 @@ from qcausal.cli import main
 from qcausal.scenarios import (
     Scenario,
     ScenarioError,
+    emit_json,
     parse_scenario,
     run_scenario,
 )
@@ -132,6 +133,39 @@ def test_exit_code_validation_error(tmp_path, capsys):
 
 def test_exit_code_missing_file(tmp_path):
     assert main(["run", str(tmp_path / "nope.scn"), "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+def test_non_finite_numbers_are_rejected(raw):
+    with pytest.raises(ScenarioError, match="finite"):
+        parse_scenario(f"kind = lhv\nminGap = {raw}\n")
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        # used to run with exit 0 and write NaN/Infinity into order_report.json
+        ("kind = order\nevents = a nan 0 @g; b 0 inf @g; c 1 0\n", "events"),
+        # used to give a silent withinTolerance: FAIL and echo NaN
+        ("kind = epr\naxisA = z\naxisB = x\ntolerance = nan\n", "tolerance"),
+    ],
+)
+def test_non_finite_numbers_are_validation_errors(tmp_path, capsys, text, key):
+    scenario_file = tmp_path / "bad.scn"
+    scenario_file.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(scenario_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"key {key!r}" in err and "finite" in err
+    assert not out.exists()
+
+
+def test_emit_json_refuses_non_finite_values(tmp_path):
+    for value in (float("nan"), float("inf"), float("-inf")):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            emit_json(path, {"metrics": {"x": value}})
+        assert not path.exists()
 
 
 def test_shipped_scenarios_all_pass(tmp_path):
