@@ -58,6 +58,7 @@ from .topology import (
     disjoint_clique_graph,
     generate_topology,
     maximal_cliques,
+    parse_edge_list,
     point_commutation,
     points_of_m,
     topology_report,

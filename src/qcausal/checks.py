@@ -199,12 +199,7 @@ def _emergent_cone(seed):
 @_timed(5.0)
 def _remark_reproduction(seed):
     report = topology.topology_report(topology.disjoint_clique_graph(5, 3))
-    singleton = report.max_hypersurface_size == 1
-    discrete = (
-        not report.topology.size_cap_hit
-        and report.topology.open_set_count == 2 ** len(report.points_subfamily)
-    )
-    ok = singleton and discrete and report.topology.points_closed is True
+    ok = report.max_hypersurface_size == 1 and report.topology.is_t1
     return ok, {
         "maxHypersurfaceSize": report.max_hypersurface_size,
         "openSetCount": report.topology.open_set_count,

@@ -28,8 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("file", help="scenario file (key = value lines)")
     run_parser.add_argument("--out", default="out", help="artifact directory")
     run_parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    run_parser.add_argument("--eps", type=float, default=None,
-                            help="override eps for cone/topology scenarios")
 
     check_parser = sub.add_parser("check", help="run the acceptance battery")
     check_parser.add_argument("--out", default="out", help="artifact directory")
@@ -44,13 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     path = Path(args.file)
     scenario = parse_scenario(path.read_text(encoding="utf-8"))
-    report = run_scenario(
-        scenario,
-        args.out,
-        seed_override=args.seed,
-        eps_override=args.eps,
-        base_dir=path.parent,
-    )
+    report = run_scenario(scenario, args.out, seed_override=args.seed, base_dir=path.parent)
     stem = scenario.output_path or scenario.kind
     report_path = Path(args.out) / f"{stem}_report.json"
     emit_json(report_path, report.to_json_dict())

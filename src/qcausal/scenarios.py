@@ -293,7 +293,6 @@ def run_scenario(
     out_dir,
     *,
     seed_override: int | None = None,
-    eps_override: float | None = None,
     base_dir=None,
 ) -> RunReport:
     """Dispatch to the core modules and write artifacts under out_dir."""
@@ -303,8 +302,6 @@ def run_scenario(
     if seed is None:
         seed = DEFAULT_SEED
     params = dict(scenario.parameters)
-    if eps_override is not None and "eps" in params:
-        params["eps"] = eps_override
     stem = scenario.output_path or scenario.kind
 
     runner = _RUNNERS[scenario.kind]
@@ -462,13 +459,26 @@ def _run_cone(params, *, seed, out, stem, base_dir):
     return metrics, verdicts, [commutator_path, cone_path]
 
 
+def _check_graph_size(size, keys):
+    if size > topology.MAX_CLIQUE_VERTICES:
+        raise ResourceLimitError(
+            f"{keys} gives {size} observables, more than the "
+            f"{topology.MAX_CLIQUE_VERTICES} that clique enumeration allows"
+        )
+
+
 def _build_graph(params, base_dir):
+    """The scenario's commutation graph; its size is checked before it is built."""
     source = params["source"]
     if source == "chain":
-        return topology.disjoint_clique_graph(params["chainSlices"], params["chainSliceSize"])
+        slices, slice_size = params["chainSlices"], params["chainSliceSize"]
+        _check_graph_size(slices * slice_size, "chainSlices * chainSliceSize")
+        return topology.disjoint_clique_graph(slices, slice_size)
     if source == "complete":
+        _check_graph_size(params["completeSize"], "completeSize")
         return topology.complete_graph(params["completeSize"])
     if source == "lattice":
+        _check_graph_size(params["sites"] * params["timeSteps"], "sites * timeSteps")
         spec = lattice.LatticeSpec(
             params["sites"], params["mass"], params["timeSteps"], params["timeStep"]
         )
@@ -478,7 +488,9 @@ def _build_graph(params, base_dir):
     path = Path(params["file"])
     if base_dir is not None and not path.is_absolute():
         path = Path(base_dir) / path
-    return topology.CommutationGraph.from_edge_list_text(path.read_text(encoding="utf-8"))
+    labels, edges = topology.parse_edge_list(path.read_text(encoding="utf-8"))
+    _check_graph_size(len(labels), "the labels in 'file'")
+    return topology.CommutationGraph.from_edges(labels, edges)
 
 
 def _run_topology(params, *, seed, out, stem, base_dir):
@@ -487,7 +499,6 @@ def _run_topology(params, *, seed, out, stem, base_dir):
         graph, include_point_complements=params["includePointComplements"]
     )
     top = report.topology
-    discrete = (not top.size_cap_hit) and top.open_set_count == 2 ** len(report.points_subfamily)
     json_path = f"{stem}_topology.json"
     emit_json(out / json_path, report.to_json_dict())
     metrics = {
@@ -500,7 +511,7 @@ def _run_topology(params, *, seed, out, stem, base_dir):
     }
     verdicts = {}
     if params["expectDiscrete"] is not None:
-        verdicts["discreteMatchesExpected"] = discrete == params["expectDiscrete"]
+        verdicts["discreteMatchesExpected"] = top.is_t1 == params["expectDiscrete"]
     if params["expectSingletonHypersurfaces"] is not None:
         verdicts["singletonHypersurfacesMatch"] = (
             (report.max_hypersurface_size == 1) == params["expectSingletonHypersurfaces"]

@@ -5,7 +5,7 @@ cliques are the complete commuting sets; candidate spacetime points are the
 minimal non-empty intersections of those sets; each point's commutant
 neighborhood (every point whose observables commute with all of its own)
 seeds a subbasis, and the coarsest topology containing that subbasis is
-generated explicitly. Two readings of "minimal non-empty intersection" are
+generated. Two readings of "minimal non-empty intersection" are
 implemented and surfaced side by side:
 
     subfamilyIntersection  inclusion-minimal non-empty intersections of
@@ -28,6 +28,18 @@ Only the second variant guarantees that every observable lands in some
 point; on a finite point set, demanding closed points on top of the
 coarsest topology forces discreteness, so point complements join the
 subbasis only on request.
+
+A finite topology is exactly its specialization preorder (Alexandrov,
+Mat. Sb. 2 (1937) 501): with U_p the smallest open set around p, q lies
+below p when q ∈ U_p, and the open sets are the unions of the U_p. So
+
+    T0                               the U_p are distinct
+    T1 = points closed = discrete    every U_p = {p}
+    S open                           U_p ⊆ S for every p ∈ S
+
+and the chain length is the longest strict chain of the preorder. These
+are exact at any size; only the count of open sets is enumerated, and it
+is partial past OPEN_SET_CAP.
 """
 
 from __future__ import annotations
@@ -87,26 +99,29 @@ class CommutationGraph:
             adj[i, j] = adj[j, i] = True
         return cls(labels, adj)
 
-    @classmethod
-    def from_edge_list_text(cls, text: str) -> "CommutationGraph":
-        """One edge ("a b") or isolated vertex ("a") per line; '#' comments."""
-        labels = set()
-        edges = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) == 1:
-                labels.add(tokens[0])
-            elif len(tokens) == 2:
-                labels.update(tokens)
-                edges.append((tokens[0], tokens[1]))
-            else:
-                raise ValueError(f"line {lineno}: expected one or two labels, got {len(tokens)}")
-        if not labels:
-            raise ValueError("empty graph description")
-        return cls.from_edges(sorted(labels), edges)
+
+def parse_edge_list(text: str):
+    """One edge ("a b") or isolated vertex ("a") per line; '#' comments.
+
+    Returns the sorted labels and the edges, without building a graph.
+    """
+    labels = set()
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) == 1:
+            labels.add(tokens[0])
+        elif len(tokens) == 2:
+            labels.update(tokens)
+            edges.append((tokens[0], tokens[1]))
+        else:
+            raise ValueError(f"line {lineno}: expected one or two labels, got {len(tokens)}")
+    if not labels:
+        raise ValueError("empty graph description")
+    return sorted(labels), edges
 
 
 def disjoint_clique_graph(clique_count: int, clique_size: int) -> CommutationGraph:
@@ -182,9 +197,6 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def points_containing(self, observable_index: int):
-        return tuple(i for i, p in enumerate(self.points) if observable_index in p)
-
 
 def points_of_m(g: CommutationGraph, variant: str = SUBFAMILY) -> PointSet:
     """Minimal non-empty intersections of the complete commuting sets.
@@ -236,67 +248,52 @@ def commutant_neighborhood(g: CommutationGraph, point_set: PointSet, point_index
 
 @dataclass(frozen=True, eq=False)
 class FiniteTopology:
-    """Open sets over point indices, stored as bitmasks."""
+    """A finite topology as its minimal opens U_p, stored as bitmasks.
+
+    The properties are read from the U_p (module docstring); only
+    ``open_set_count`` is enumerated, partial when ``size_cap_hit`` is set.
+    """
 
     point_count: int
-    open_sets: tuple
     subbasis: tuple
-    minimal_open_sets: tuple | None
-    is_t0: bool | None
-    is_t1: bool | None
-    points_closed: bool | None
+    minimal_open_sets: tuple
+    open_set_count: int
     size_cap_hit: bool
 
-    def __post_init__(self):
-        full = (1 << self.point_count) - 1
-        if 0 not in self.open_sets or full not in self.open_sets:
-            raise ValueError("topology must contain the empty and the full set")
+    @property
+    def is_t0(self) -> bool:
+        """Distinct points have distinct minimal opens."""
+        return len(set(self.minimal_open_sets)) == self.point_count
 
     @property
-    def open_set_count(self) -> int:
-        return len(self.open_sets)
+    def is_t1(self) -> bool:
+        """Every U_p = {p}; on a finite space this is also discreteness."""
+        return all(u == 1 << p for p, u in enumerate(self.minimal_open_sets))
+
+    points_closed = is_t1
 
     def is_open(self, point_indices) -> bool:
-        return _mask(point_indices) in set(self.open_sets)
-
-    def is_closed_exhaustive(self) -> bool:
-        """Pairwise union/intersection closure check; test-scale only."""
-        family = set(self.open_sets)
-        return all(a | b in family and a & b in family for a in family for b in family)
-
-    def minimal_opens(self):
-        """Smallest open set around each point (intersection of its opens)."""
-        if self.minimal_open_sets is None:
-            raise ValueError("minimal opens unknown: size cap was hit")
-        return self.minimal_open_sets
+        """S is open when it contains U_p for each of its points p."""
+        mask = _mask(point_indices)
+        return mask >> self.point_count == 0 and all(
+            u | mask == mask for p, u in enumerate(self.minimal_open_sets) if mask >> p & 1
+        )
 
     def specialization_chain_length(self) -> int:
-        """Longest strict chain in the specialization preorder."""
-        minimal = self.minimal_opens()
-        leq = [
-            [bool(minimal[p] >> q & 1) for q in range(self.point_count)]
-            for p in range(self.point_count)
-        ]
-        classes = {}
-        for p in range(self.point_count):
-            key = frozenset(
-                q for q in range(self.point_count) if leq[p][q] and leq[q][p]
-            )
-            classes.setdefault(key, min(key))
-        reps = sorted(classes.values())
-        longest = {}
+        """Longest strict chain in the specialization preorder.
 
-        def chain_from(rep):
-            if rep in longest:
-                return longest[rep]
-            best = 1
-            for other in reps:
-                if other != rep and leq[rep][other] and not leq[other][rep]:
-                    best = max(best, 1 + chain_from(other))
-            longest[rep] = best
-            return best
-
-        return max((chain_from(rep) for rep in reps), default=0)
+        Peels the points with no strictly larger point left until none
+        remain; the number of peels is the longest chain.
+        """
+        n = self.point_count
+        leq = np.array([[u >> q & 1 for q in range(n)] for u in self.minimal_open_sets], bool)
+        above = leq & ~leq.T
+        left = np.ones(n, dtype=bool)
+        length = 0
+        while left.any():
+            left &= (above & left).any(axis=1)
+            length += 1
+        return length
 
 
 def _mask(point_indices) -> int:
@@ -311,20 +308,18 @@ def generate_topology(
 ) -> FiniteTopology:
     """Coarsest topology containing the subbasis.
 
-    Every open set of the generated topology is a union of minimal point
-    neighborhoods U_p (the intersection of all subbasis members containing
-    p), so the family is enumerated as the distinct subset-unions of the
-    U_p. When it outgrows the cap a partial family is returned with
-    unknown flags.
+    The minimal open U_p is the intersection of the subbasis members that
+    contain p, and the open sets are exactly the unions of the U_p (the
+    down-sets of the specialization preorder). The U_p decide every
+    property; the unions are enumerated only to count them, up to the cap.
     """
     full = (1 << point_count) - 1
     masks = [_mask(s) & full for s in subbasis]
     if include_point_complements:
         masks += [full ^ (1 << p) for p in range(point_count)]
-    base_subbasis = tuple(masks)
 
     minimal = [full] * point_count
-    for mask in base_subbasis:
+    for mask in masks:
         for p in range(point_count):
             if mask >> p & 1:
                 minimal[p] &= mask
@@ -337,26 +332,7 @@ def generate_topology(
             cap_hit = True
             break
         opens |= additions
-
-    if cap_hit:
-        # Minimal opens are exact either way; only the set family is partial.
-        return FiniteTopology(
-            point_count, tuple(sorted(opens)), base_subbasis, tuple(minimal), None, None, None, True
-        )
-
-    points_closed = all(full ^ (1 << p) in opens for p in range(point_count))
-    is_t0 = len(set(minimal)) == point_count
-    # On a finite space T1 is equivalent to every singleton being closed.
-    return FiniteTopology(
-        point_count,
-        tuple(sorted(opens)),
-        base_subbasis,
-        tuple(minimal),
-        is_t0,
-        points_closed,
-        points_closed,
-        False,
-    )
+    return FiniteTopology(point_count, tuple(masks), tuple(minimal), len(opens), cap_hit)
 
 
 @dataclass(frozen=True, eq=False)

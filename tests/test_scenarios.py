@@ -202,9 +202,9 @@ def test_output_path_prefixes_artifacts(tmp_path):
 
 
 def test_eps_override_changes_cone(tmp_path):
-    scenario = parse_scenario("kind = cone\nsites = 64\nmass = 1.0\ntimeSteps = 16\n")
-    default = run_scenario(scenario, tmp_path / "a")
-    overridden = run_scenario(scenario, tmp_path / "b", eps_override=0.01)
+    text = "kind = cone\nsites = 64\nmass = 1.0\ntimeSteps = 16\n"
+    default = run_scenario(parse_scenario(text), tmp_path / "a")
+    overridden = run_scenario(parse_scenario(text + "eps = 0.01\n"), tmp_path / "b")
     assert overridden.metrics["maxExtent"] < default.metrics["maxExtent"]
     assert overridden.inputs_echo["eps"] == 0.01
 
@@ -296,3 +296,34 @@ def test_scenario_resource_error_exit_code(tmp_path):
     scenario_file = tmp_path / "crowd.scn"
     scenario_file.write_text(f"kind = order\nevents = {crowd}\n")
     assert main(["run", str(scenario_file), "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize(
+    "keys, names",
+    [
+        ("source = lattice\nsites = 8\ntimeSteps = 63\n", "sites * timeSteps"),
+        ("source = chain\nchainSlices = 167\nchainSliceSize = 3\n", "chainSlices * chainSliceSize"),
+        ("source = complete\ncompleteSize = 501\n", "completeSize"),
+        ("source = file\nfile = g.txt\n", "'file'"),
+    ],
+)
+def test_graph_size_checked_before_building(tmp_path, monkeypatch, capsys, keys, names):
+    import qcausal.lattice
+    import qcausal.topology
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph built past the vertex cap")
+
+    for module, name in [
+        (qcausal.lattice, "commutation_graph"),
+        (qcausal.topology, "disjoint_clique_graph"),
+        (qcausal.topology, "complete_graph"),
+        (qcausal.topology.CommutationGraph, "from_edges"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    (tmp_path / "g.txt").write_text("".join(f"o{i}\n" for i in range(501)))
+    scenario_file = tmp_path / "big.scn"
+    scenario_file.write_text("kind = topology\n" + keys)
+    assert main(["run", str(scenario_file), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert names in err and "500" in err

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from qcausal.topology import (
     disjoint_clique_graph,
     generate_topology,
     maximal_cliques,
+    parse_edge_list,
     point_commutation,
     points_of_m,
     points_commute,
@@ -54,13 +58,13 @@ def test_graph_validation():
 
 def test_edge_list_parsing():
     text = "# comment\n a b \nc\n\nb c # trailing\n"
-    g = CommutationGraph.from_edge_list_text(text)
+    g = CommutationGraph.from_edges(*parse_edge_list(text))
     assert g.labels == ("a", "b", "c")
     assert g.adjacency[0, 1] and g.adjacency[1, 2] and not g.adjacency[0, 2]
     with pytest.raises(ValueError, match="one or two"):
-        CommutationGraph.from_edge_list_text("a b c\n")
+        parse_edge_list("a b c\n")
     with pytest.raises(ValueError, match="empty"):
-        CommutationGraph.from_edge_list_text("# nothing\n")
+        parse_edge_list("# nothing\n")
 
 
 def test_maximal_cliques_complete_graph():
@@ -278,6 +282,56 @@ def test_generate_topology_discrete_and_indiscrete():
     indiscrete = generate_topology([[0, 1, 2]], 3)
     assert indiscrete.open_set_count == 2
     assert indiscrete.points_closed is False and indiscrete.is_t0 is False
+    nested = generate_topology([[0], [0, 1], [0, 1, 2]], 3)
+    assert nested.is_t0 is True and nested.is_t1 is False
+    assert nested.open_set_count == 4 and nested.specialization_chain_length() == 3
+    assert nested.is_open([0, 1]) and not nested.is_open([1, 2])
+    one_open = generate_topology([[1], [2]], 3)  # U_0 is the whole space
+    assert one_open.is_t0 is True and one_open.points_closed is False
+    assert one_open.specialization_chain_length() == 2
+
+
+def generated_family(subbasis, n, include_point_complements=False):
+    """Every open set, uncapped: the unions of finite intersections of the subbasis."""
+    full = (1 << n) - 1
+    masks = [sum(1 << p for p in s) for s in subbasis]
+    if include_point_complements:
+        masks += [full ^ (1 << p) for p in range(n)]
+    basis = {full}
+    for mask in masks:
+        basis |= {b & mask for b in basis}
+    opens = {0}
+    for b in basis:
+        opens |= {o | b for o in opens}
+    return opens
+
+
+def is_closed_exhaustive(family):
+    """Pairwise union/intersection closure check; test-scale only."""
+    return all(a | b in family and a & b in family for a in family for b in family)
+
+
+def recursive_chain_length(minimal, n):
+    """Longest strict chain of the specialization preorder, one class at a time."""
+    leq = [[bool(minimal[p] >> q & 1) for q in range(n)] for p in range(n)]
+    classes = {}
+    for p in range(n):
+        key = frozenset(q for q in range(n) if leq[p][q] and leq[q][p])
+        classes.setdefault(key, min(key))
+    reps = sorted(classes.values())
+    longest = {}
+
+    def chain_from(rep):
+        if rep in longest:
+            return longest[rep]
+        best = 1
+        for other in reps:
+            if other != rep and leq[rep][other] and not leq[other][rep]:
+                best = max(best, 1 + chain_from(other))
+        longest[rep] = best
+        return best
+
+    return max((chain_from(rep) for rep in reps), default=0)
 
 
 def test_generate_topology_closure_exhaustive():
@@ -287,10 +341,45 @@ def test_generate_topology_closure_exhaustive():
         subbasis = [
             [int(v) for v in np.nonzero(rng.random(n) < 0.5)[0]] for _ in range(int(rng.integers(1, 5)))
         ]
+        family = generated_family(subbasis, n)
+        assert is_closed_exhaustive(family)
         topology = generate_topology(subbasis, n)
-        assert topology.is_closed_exhaustive()
         assert topology.is_open(())
         assert topology.is_open(range(n))
+        assert not topology.is_open([n])
+
+
+@st.composite
+def subbases(draw, max_points=10):
+    n = draw(st.integers(1, max_points))
+    points = st.integers(0, n - 1)
+    subsets = st.sets(points) | points.map(lambda p: {p})
+    return n, draw(st.lists(subsets, max_size=12)), draw(st.booleans())
+
+
+@settings(deadline=None, max_examples=200)
+@given(subbases())
+def test_topology_from_minimal_opens_matches_enumeration(case):
+    n, subbasis, complements = case
+    topology = generate_topology(subbasis, n, include_point_complements=complements)
+    family = generated_family(subbasis, n, include_point_complements=complements)
+    full = (1 << n) - 1
+    pairs = [(p, q) for p in range(n) for q in range(n) if p != q]
+    assert topology.is_t0 == all(
+        any((o >> p & 1) != (o >> q & 1) for o in family) for p, q in pairs
+    )
+    assert topology.is_t1 == all(
+        any(o >> p & 1 and not o >> q & 1 for o in family) for p, q in pairs
+    )
+    assert topology.points_closed == all(full ^ (1 << p) in family for p in range(n))
+    assert topology.open_set_count == len(family) and not topology.size_cap_hit
+    minimal = [
+        functools.reduce(operator.and_, (o for o in family if o >> p & 1)) for p in range(n)
+    ]
+    assert topology.specialization_chain_length() == recursive_chain_length(minimal, n)
+    for mask in range(full + 1):
+        indices = [p for p in range(n) if mask >> p & 1]
+        assert topology.is_open(indices) == (mask in family)
 
 
 def test_point_complements_force_discreteness():
@@ -329,7 +418,7 @@ def test_lattice_report_slices_and_cap():
     assert all(s in report.cliques for s in slices)
     assert report.max_hypersurface_size >= 8
     assert report.topology.size_cap_hit is True
-    assert report.topology.is_t0 is None  # unknown under the cap
+    assert report.topology.is_t0 is True  # every U_p = {p}, cap or not
     assert report.topology.specialization_chain_length() >= 1
 
 
