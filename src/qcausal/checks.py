@@ -17,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import causal, entanglement, lattice, quantum, topology
-from .fixtures import load_golden
+from . import causal, entanglement, fixtures, lattice, quantum, topology
 from .scenarios import DEFAULT_SEED, parse_scenario, run_scenario
 
 
@@ -45,7 +44,6 @@ def _timed(limit_seconds):
                 details["runtimeLimitExceeded"] = True
             return passed, details, elapsed
 
-        run.limit = limit_seconds
         return run
 
     return wrap
@@ -158,40 +156,31 @@ def _lattice_commutator_structure(seed):
 
 @_timed(60.0)
 def _emergent_cone(seed):
-    golden = load_golden()
+    golden = fixtures.load_golden()
     section = golden["cone128"]
-    spec = lattice.LatticeSpec(section["sites"], section["mass"], section["timeSteps"])
-    profile = lattice.cone_profile(spec, section["eps"])
-    extents = [[int(dt), extent] for dt, extent in profile.per_time_extent]
-
-    slices = golden["manySlices128"]
-    commuting = 0
-    for dt in range(1, slices["maxDt"] + 1):
-        mags = [
-            abs(lattice.pauli_jordan(spec, dx, float(dt)))
-            for dx in range(spec.sites // 2 + 1)
-        ]
-        if min(mags) < slices["eps"]:
-            commuting += 1
-
-    confined = all(
-        extent <= dt + section["broadening"] for dt, extent in profile.per_time_extent
+    cone = fixtures.cone_section(
+        section["sites"], section["mass"], section["timeSteps"], section["eps"]
     )
+    slices = golden["manySlices128"]
+    commuting = fixtures.many_slices_section(
+        slices["sites"], slices["mass"], slices["eps"], slices["maxDt"]
+    )["commutingSliceCount"]
+    confined = all(extent <= dt + section["broadening"] for dt, extent in cone["extents"])
     ok = (
         golden["status"] == "VERIFIED"
-        and extents == section["extents"]
-        and abs(profile.fitted_speed - section["fittedSpeed"]) <= 1e-9
-        and abs(profile.fitted_speed - 1.0) <= 0.15
-        and profile.broadening() == section["broadening"]
+        and cone["extents"] == section["extents"]
+        and abs(cone["fittedSpeed"] - section["fittedSpeed"]) <= 1e-9
+        and abs(cone["fittedSpeed"] - 1.0) <= 0.15
+        and cone["broadening"] == section["broadening"]
         and confined
         and commuting == slices["commutingSliceCount"]
         and commuting >= 2
     )
     return ok, {
-        "fittedSpeed": profile.fitted_speed,
-        "broadening": profile.broadening(),
+        "fittedSpeed": cone["fittedSpeed"],
+        "broadening": cone["broadening"],
         "commutingSliceCount": commuting,
-        "extentsMatchGolden": extents == section["extents"],
+        "extentsMatchGolden": cone["extents"] == section["extents"],
         "goldenStatus": golden["status"],
     }
 
@@ -263,7 +252,7 @@ def _points_oracle_equivalence(seed):
 
 @_timed(1.0)
 def _stronger_causal_ordering(seed):
-    golden = load_golden()["threeParty"]
+    golden = fixtures.load_golden()["threeParty"]
     events = causal.THREE_PARTY_EVENTS
     summary = causal.enumerate_admissible_orientations(events)
     witness = tuple(golden["witnessPair"])

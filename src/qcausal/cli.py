@@ -11,7 +11,6 @@ resource error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -68,9 +67,8 @@ def _cmd_check(args) -> int:
 def _cmd_regen(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    golden = fixtures.regenerate()
     target = out / "golden.json"
-    target.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    emit_json(target, fixtures.regenerate())
     print(f"wrote {target} with status UNVERIFIED")
     print("confirm with: python scripts/verify_fixtures.py verify " + str(target))
     return 0

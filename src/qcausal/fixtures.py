@@ -30,7 +30,7 @@ def _commutator_section(sites, mass, dx_max, dt_max):
     return {"sites": sites, "mass": mass, "values": values}
 
 
-def _cone_section(sites, mass, time_steps, eps):
+def cone_section(sites, mass, time_steps, eps):
     spec = lattice.LatticeSpec(sites, mass, time_steps)
     profile = lattice.cone_profile(spec, eps)
     return {
@@ -44,7 +44,7 @@ def _cone_section(sites, mass, time_steps, eps):
     }
 
 
-def _many_slices_section(sites, mass, eps, max_dt):
+def many_slices_section(sites, mass, eps, max_dt):
     spec = lattice.LatticeSpec(sites, mass, max_dt + 2)
     count = 0
     for dt in range(1, max_dt + 1):
@@ -98,10 +98,10 @@ def regenerate() -> dict:
     return {
         "status": "UNVERIFIED",
         "commutator64": _commutator_section(sites=64, mass=1.0, dx_max=8, dt_max=4),
-        "cone128": _cone_section(sites=128, mass=0.1, time_steps=32, eps=1e-3),
-        "containment64": _cone_section(sites=64, mass=1.0, time_steps=16, eps=1e-3),
-        "manySlices64": _many_slices_section(sites=64, mass=1.0, eps=1e-3, max_dt=8),
-        "manySlices128": _many_slices_section(sites=128, mass=0.1, eps=1e-3, max_dt=8),
+        "cone128": cone_section(sites=128, mass=0.1, time_steps=32, eps=1e-3),
+        "containment64": cone_section(sites=64, mass=1.0, time_steps=16, eps=1e-3),
+        "manySlices64": many_slices_section(sites=64, mass=1.0, eps=1e-3, max_dt=8),
+        "manySlices128": many_slices_section(sites=128, mass=0.1, eps=1e-3, max_dt=8),
         "latticeGraph8": _lattice_graph_section(sites=8, time_steps=4, mass=1.0, eps=1e-3),
         "threeParty": _three_party_section(),
     }

@@ -14,13 +14,12 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import causal, entanglement, lattice, topology
 from .topology import ResourceLimitError
 
 DEFAULT_SEED = 20260810
-KINDS = ("bell", "chsh", "lhv", "epr", "eraser", "cone", "topology", "order")
+MAX_PHASE_SAMPLES = 4096  # eraser curve points; a run at the cap takes about 1 s
+MAX_ORDER_EVENTS = 64  # with MAX_ADMISSIBLE orders at this size a run takes about 8 s
 
 NAMED_AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
@@ -165,7 +164,6 @@ SCHEMAS = {
         "timeSteps": (_parse_int, 4),
         "timeStep": (_parse_float, 1.0),
         "eps": (_parse_float, 1e-3),
-        "variant": (_parse_choice(topology.SUBFAMILY, topology.PER_OBSERVABLE), topology.SUBFAMILY),
         "includePointComplements": (_parse_bool, False),
         "expectDiscrete": (_parse_bool, None),
         "expectSingletonHypersurfaces": (_parse_bool, None),
@@ -208,8 +206,8 @@ def parse_scenario(text: str) -> Scenario:
     if "kind" not in raw:
         raise ScenarioError("missing required key 'kind'")
     kind = raw.pop("kind")
-    if kind not in KINDS:
-        raise ScenarioError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    if kind not in SCHEMAS:
+        raise ScenarioError(f"unknown kind {kind!r}; expected one of {tuple(SCHEMAS)}")
 
     seed = _parse_int(raw.pop("seed")) if "seed" in raw else None
     output_path = raw.pop("outputPath", None)
@@ -251,16 +249,10 @@ class RunReport:
         return {
             "scenarioKind": self.scenario_kind,
             "inputsEcho": self.inputs_echo,
-            "metrics": {k: _jsonable(v) for k, v in self.metrics.items()},
+            "metrics": dict(self.metrics),
             "verdicts": {k: "pass" if v else "fail" for k, v in self.verdicts.items()},
             "artifacts": list(self.artifacts),
         }
-
-
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
 
 
 def emit_csv(path: Path, header: str, rows) -> None:
@@ -309,7 +301,7 @@ def run_scenario(
         metrics, verdicts, artifacts = runner(
             params, seed=seed, out=out, stem=stem, base_dir=base_dir
         )
-    except (ResourceLimitError, causal.CycleError):
+    except ResourceLimitError:
         raise
     except ValueError as err:
         raise ScenarioError(f"{scenario.kind} scenario: {err}") from err
@@ -363,13 +355,7 @@ def _run_chsh(params, *, seed, out, stem, base_dir):
         for i in (0, 1)
         for j in (0, 1)
     }
-    signs = params["signs"]
-    s_value = (
-        signs[0] * terms["E00"]
-        + signs[1] * terms["E01"]
-        + signs[2] * terms["E10"]
-        + signs[3] * terms["E11"]
-    )
+    s_value = entanglement.chsh(psi, *axes, signs=params["signs"])
     metrics = {"S": s_value, **terms}
     verdicts = {"withinTsirelson": abs(s_value) <= 2 * math.sqrt(2) + 1e-9}
     if params["minS"] is not None:
@@ -404,11 +390,12 @@ def _run_lhv(params, *, seed, out, stem, base_dir):
 
 
 def _run_eraser(params, *, seed, out, stem, base_dir):
+    _check_size(params["phaseSamples"], "phaseSamples", "phase samples", MAX_PHASE_SAMPLES)
     cfg = entanglement.EraserConfig(
         params["marking"], params["erasure"], params["phaseSamples"]
     )
     phases, probs = entanglement.eraser_curve(cfg)
-    visibility = float((probs.max() - probs.min()) / (probs.max() + probs.min()))
+    visibility = entanglement.eraser_visibility(cfg)
     if params["expectedVisibility"] is not None:
         expected = params["expectedVisibility"]
     else:
@@ -459,12 +446,9 @@ def _run_cone(params, *, seed, out, stem, base_dir):
     return metrics, verdicts, [commutator_path, cone_path]
 
 
-def _check_graph_size(size, keys):
-    if size > topology.MAX_CLIQUE_VERTICES:
-        raise ResourceLimitError(
-            f"{keys} gives {size} observables, more than the "
-            f"{topology.MAX_CLIQUE_VERTICES} that clique enumeration allows"
-        )
+def _check_size(size, keys, what="observables", cap=topology.MAX_CLIQUE_VERTICES):
+    if size > cap:
+        raise ResourceLimitError(f"{keys} gives {size} {what}, more than the {cap} allowed")
 
 
 def _build_graph(params, base_dir):
@@ -472,13 +456,13 @@ def _build_graph(params, base_dir):
     source = params["source"]
     if source == "chain":
         slices, slice_size = params["chainSlices"], params["chainSliceSize"]
-        _check_graph_size(slices * slice_size, "chainSlices * chainSliceSize")
+        _check_size(slices * slice_size, "chainSlices * chainSliceSize")
         return topology.disjoint_clique_graph(slices, slice_size)
     if source == "complete":
-        _check_graph_size(params["completeSize"], "completeSize")
+        _check_size(params["completeSize"], "completeSize")
         return topology.complete_graph(params["completeSize"])
     if source == "lattice":
-        _check_graph_size(params["sites"] * params["timeSteps"], "sites * timeSteps")
+        _check_size(params["sites"] * params["timeSteps"], "sites * timeSteps")
         spec = lattice.LatticeSpec(
             params["sites"], params["mass"], params["timeSteps"], params["timeStep"]
         )
@@ -489,7 +473,7 @@ def _build_graph(params, base_dir):
     if base_dir is not None and not path.is_absolute():
         path = Path(base_dir) / path
     labels, edges = topology.parse_edge_list(path.read_text(encoding="utf-8"))
-    _check_graph_size(len(labels), "the labels in 'file'")
+    _check_size(len(labels), "the labels in 'file'")
     return topology.CommutationGraph.from_edges(labels, edges)
 
 
@@ -521,6 +505,10 @@ def _run_topology(params, *, seed, out, stem, base_dir):
 
 def _run_order(params, *, seed, out, stem, base_dir):
     events = params["events"]
+    _check_size(len(events), "'events'", "events", MAX_ORDER_EVENTS)
+    unknown = [i for i in params["witnessPair"] or () if i not in {e.id for e in events}]
+    if unknown:
+        raise ScenarioError(f"key 'witnessPair': no event {unknown[0]!r} in 'events'")
     summary = causal.enumerate_admissible_orientations(events, params["policy"])
     classical = summary.classical
     admissible = summary.admissible

@@ -4,8 +4,10 @@ from pathlib import Path
 import pytest
 
 from qcausal.cli import main
+from qcausal.fixtures import load_golden
 from qcausal.scenarios import (
-    Scenario,
+    MAX_ORDER_EVENTS,
+    MAX_PHASE_SAMPLES,
     ScenarioError,
     emit_json,
     parse_scenario,
@@ -53,6 +55,7 @@ def test_parse_comments_seed_and_output_path():
         ("kind = eraser\nmarking = maybe\nerasure = false\n", "true/false"),
         ("kind = chsh\na0Deg = 0\na1Deg = 0\nb0Deg = 0\nb1Deg = 0\nsigns = ++\n", "four"),
         ("kind = order\nevents = e1 1.0\n", "event record"),
+        ("kind = topology\nsource = chain\nvariant = perObservable\n", "unknown keys"),
     ],
 )
 def test_parse_rejections(text, message):
@@ -327,3 +330,81 @@ def test_graph_size_checked_before_building(tmp_path, monkeypatch, capsys, keys,
     assert main(["run", str(scenario_file), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert names in err and "500" in err
+
+
+def test_unknown_witness_id_is_a_validation_error(tmp_path, capsys):
+    # used to end in a KeyError traceback after the order artifacts were written
+    scenario_file = tmp_path / "witness.scn"
+    scenario_file.write_text(
+        "kind = order\nevents = e1 1.0 -0.99 @g; e2 1.0 0.99 @g\nwitnessPair = e1 zz\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(scenario_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'witnessPair'" in err and "'zz'" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "text, key, refused",
+    [
+        (
+            f"kind = eraser\nmarking = true\nerasure = false\n"
+            f"phaseSamples = {MAX_PHASE_SAMPLES + 1}\n",
+            "phaseSamples",
+            "eraser_curve",
+        ),
+        (
+            "kind = order\nevents = "
+            + "; ".join(f"e{i} {i} 0" for i in range(MAX_ORDER_EVENTS + 1))
+            + "\n",
+            "'events'",
+            "enumerate_admissible_orientations",
+        ),
+    ],
+)
+def test_sizes_checked_before_any_work(tmp_path, monkeypatch, capsys, text, key, refused):
+    import qcausal.causal
+    import qcausal.entanglement
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started past the cap")
+
+    monkeypatch.setattr(qcausal.entanglement, "eraser_curve", refuse)
+    monkeypatch.setattr(qcausal.causal, "enumerate_admissible_orientations", refuse)
+    scenario_file = tmp_path / "big.scn"
+    scenario_file.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(scenario_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "more than the" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def _oracle_mismatches(reference, candidate, path=""):
+    """Same keys, floats within 1e-9, everything else equal; `status` is skipped."""
+    if isinstance(reference, dict):
+        assert isinstance(candidate, dict), path
+        keys = set(reference) - {"status"}
+        assert set(candidate) - {"status"} == keys, path
+        for key in sorted(keys):
+            yield from _oracle_mismatches(reference[key], candidate[key], f"{path}.{key}")
+    elif isinstance(reference, list):
+        if not isinstance(candidate, list) or len(candidate) != len(reference):
+            yield path
+            return
+        for i, (r, c) in enumerate(zip(reference, candidate)):
+            yield from _oracle_mismatches(r, c, f"{path}[{i}]")
+    elif isinstance(reference, float):
+        if not abs(reference - float(candidate)) <= 1e-9:
+            yield path
+    elif reference != candidate:
+        yield path
+
+
+def test_regen_fixtures_matches_golden(tmp_path, capsys):
+    assert main(["regen-fixtures", "--out", str(tmp_path)]) == 0
+    regenerated = json.loads((tmp_path / "golden.json").read_text())
+    assert regenerated["status"] == "UNVERIFIED"
+    assert list(_oracle_mismatches(load_golden(), regenerated)) == []
