@@ -84,6 +84,8 @@ class CausalOrder:
         n = len(ids)
         if rel.shape != (n, n):
             raise ValueError("relation shape does not match id count")
+        if len(set(ids)) != n:
+            raise ValueError("duplicate event ids")
         if np.diag(rel).any():
             raise ValueError("order must be irreflexive")
         if (rel & rel.T).any():
@@ -382,15 +384,23 @@ def strict_extension_check(classical: CausalOrder, quantum: CausalOrder) -> Exte
     """True iff quantum contains classical and orders at least one new pair."""
     if classical.ids != quantum.ids:
         raise ValueError("orders are over different event sets")
-    classical_pairs = set(classical.pairs())
-    quantum_pairs = set(quantum.pairs())
-    missing = sorted(classical_pairs - quantum_pairs)
-    if missing:
-        return ExtensionVerdict(False, None, missing[0])
-    extra = sorted(quantum_pairs - classical_pairs)
-    if not extra:
-        return ExtensionVerdict(False, None, None)
-    return ExtensionVerdict(True, extra[0], None)
+    # With both relations in sorted-id order, the first row-major hit of a
+    # difference is its lexicographically first (before, after) pair.
+    ids = classical.ids
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    c, q = (o.relation[order][:, order] for o in (classical, quantum))
+
+    def first(mask):
+        if not mask.any():
+            return None
+        i, j = divmod(int(mask.argmax()), len(ids))
+        return (ids[order[i]], ids[order[j]])
+
+    missing = first(c & ~q)
+    if missing is not None:
+        return ExtensionVerdict(False, None, missing)
+    extra = first(q & ~c)
+    return ExtensionVerdict(extra is not None, extra, None)
 
 
 THREE_PARTY_EVENTS = (

@@ -86,37 +86,29 @@ def _quantum_lhv_gap(seed):
 
 @_timed(30.0)
 def _no_signaling(seed):
-    psi = entanglement.bell_phi_plus()
-    grid = [math.radians(d) for d in range(0, 360, 5)]
-    worst = 0.0
-    for alpha in grid:
-        margins_a, margins_b = [], []
-        for beta in grid:
-            joint = entanglement.joint_spin_probabilities(
-                psi, entanglement.xz_axis(alpha), entanglement.xz_axis(beta)
-            )
-            margins_a.append(joint[0, 0] + joint[0, 1])
-            margins_b.append(joint[0, 0] + joint[1, 0])
-        worst = max(worst, max(margins_a) - min(margins_a))
-        # site B's marginal swept over site A's axis, by symmetry of the loop
-        worst = max(worst, max(margins_b) - min(margins_b))
+    """Joint tables of the correlated pair over a 5-degree x-z axis grid,
+    [alpha, beta, i, j]: A's +1 marginal must not move with B's axis beta
+    (axis 1), nor B's with A's axis alpha (axis 0), by more than 1e-10."""
+    axes = [entanglement.xz_axis(math.radians(d)) for d in range(0, 360, 5)]
+    joint = entanglement.joint_spin_tables(entanglement.bell_phi_plus(), axes, axes)
+    margin_a = joint[:, :, 0, 0] + joint[:, :, 0, 1]
+    margin_b = joint[:, :, 0, 0] + joint[:, :, 1, 0]
+    worst = float(max(np.ptp(margin_a, axis=1).max(), np.ptp(margin_b, axis=0).max()))
     return worst <= 1e-10, {"worstMarginalSpread": worst}
 
 
 @_timed(5.0)
 def _ghz_unanimity(seed):
     psi = entanglement.ghz(3)
-    z = quantum.spin_pvm((0.0, 0.0, 1.0))
+    z_axis = (0.0, 0.0, 1.0)
     worst = 1.0
     for site in range(3):
         others = [s for s in range(3) if s != site]
+        z_at_site = quantum.embed_pvm(quantum.spin_pvm(z_axis), site, 3)
         for branch in (0, 1):
-            collapsed = quantum.collapse(quantum.embed_pvm(z, site, 3), branch, psi)
-            amps = collapsed.amplitudes
-            joint = quantum.embed_pvm(z, others[0], 3).branches[branch][1] @ (
-                quantum.embed_pvm(z, others[1], 3).branches[branch][1] @ amps
-            )
-            worst = min(worst, float(np.real(np.vdot(amps, joint))))
+            collapsed = quantum.collapse(z_at_site, branch, psi)
+            joint = entanglement.joint_spin_probabilities(collapsed, z_axis, z_axis, *others)
+            worst = min(worst, float(joint[branch, branch]))
     return abs(worst - 1.0) <= 1e-12, {"worstUnanimousProbability": worst}
 
 
@@ -128,7 +120,8 @@ def _eraser_visibility(seed):
         "erased": (entanglement.EraserConfig(True, True), 1.0),
     }
     measured = {
-        name: entanglement.eraser_visibility(cfg) for name, (cfg, _) in cases.items()
+        name: entanglement.eraser_visibility(entanglement.eraser_curve(cfg)[1])
+        for name, (cfg, _) in cases.items()
     }
     ok = all(
         abs(measured[name] - expected) <= 1e-12 for name, (_, expected) in cases.items()

@@ -8,6 +8,7 @@ and runs a minimal two-qubit which-path / erasure model.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,11 +24,11 @@ from .quantum import (
     collapse,
     embed_pvm,
     measure_probabilities,
+    spin_projectors,
     spin_pvm,
     tensor,
 )
 
-AXIS_TOL = 1e-10
 SAMPLE_CHUNK = 1 << 16  # trials per batch of draws in epr_consistency
 
 
@@ -36,21 +37,15 @@ def xz_axis(angle_rad: float) -> np.ndarray:
     return np.array([math.sin(angle_rad), 0.0, math.cos(angle_rad)])
 
 
-def _check_axis(axis) -> np.ndarray:
-    n = np.asarray(axis, dtype=float)
-    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > AXIS_TOL:
-        raise ValueError(f"not a unit 3-vector: {axis}")
-    return n
-
-
 @dataclass(frozen=True)
 class CorrelationSetting:
     axis_a: np.ndarray
     axis_b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "axis_a", _check_axis(self.axis_a))
-        object.__setattr__(self, "axis_b", _check_axis(self.axis_b))
+        spin_projectors([self.axis_a, self.axis_b])  # both must be unit 3-vectors
+        object.__setattr__(self, "axis_a", np.asarray(self.axis_a, dtype=float))
+        object.__setattr__(self, "axis_b", np.asarray(self.axis_b, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -100,6 +95,24 @@ def site_count(psi: StateVector) -> int:
     return n
 
 
+def joint_spin_tables(
+    psi: StateVector, axes_a, axes_b, site_a: int = 0, site_b: int = 1
+) -> np.ndarray:
+    """(A, B, 2, 2) table: [x, y, i, j] is the probability of outcome i
+    (0/1 for +1/-1) at site_a along axes_a[x] and j at site_b along axes_b[y].
+
+    With the two sites moved to the front of psi, one Born-rule sum covers
+    every pair: sum conj(psi[a,b,r]) P_a[x,i,a,c] P_b[y,j,b,d] psi[c,d,r].
+    """
+    n = site_count(psi)
+    if site_a == site_b or not (0 <= site_a < n and 0 <= site_b < n):
+        raise ValueError(f"invalid sites ({site_a}, {site_b}) for {n}-site state")
+    amps = psi.amplitudes.reshape((2,) * n)
+    amps = np.moveaxis(amps, (site_a, site_b), (0, 1)).reshape(2, 2, -1)
+    projectors = spin_projectors(axes_a), spin_projectors(axes_b)
+    return np.einsum("abr,xiac,yjbd,cdr->xyij", amps.conj(), *projectors, amps).real
+
+
 def joint_spin_probabilities(
     psi: StateVector, axis_a, axis_b, site_a: int = 0, site_b: int = 1
 ) -> np.ndarray:
@@ -107,26 +120,20 @@ def joint_spin_probabilities(
 
     Row index 0/1 is outcome +1/-1 at site_a, column likewise at site_b.
     """
-    n = site_count(psi)
-    if site_a == site_b or not (0 <= site_a < n and 0 <= site_b < n):
-        raise ValueError(f"invalid sites ({site_a}, {site_b}) for {n}-site state")
-    pvm_a = embed_pvm(spin_pvm(axis_a), site_a, n)
-    pvm_b = embed_pvm(spin_pvm(axis_b), site_b, n)
-    probs = np.empty((2, 2))
-    for i, (_, pa) in enumerate(pvm_a.branches):
-        projected = pa @ psi.amplitudes
-        for j, (_, pb) in enumerate(pvm_b.branches):
-            probs[i, j] = float(np.real(np.vdot(projected, pb @ projected)))
-    return probs
+    return joint_spin_tables(psi, [axis_a], [axis_b], site_a, site_b)[0, 0]
+
+
+def _correlations(psi: StateVector, axes_a, axes_b, site_a: int = 0, site_b: int = 1):
+    """(A, B) correlations E = sum_ab a*b*prob(a, b), from one table call."""
+    signs = np.array([+1.0, -1.0])
+    return joint_spin_tables(psi, axes_a, axes_b, site_a, site_b) @ signs @ signs
 
 
 def correlation(
     psi: StateVector, setting: CorrelationSetting, site_a: int = 0, site_b: int = 1
 ) -> float:
     """E = sum_ab a*b*prob(a, b) over the joint spin measurement."""
-    probs = joint_spin_probabilities(psi, setting.axis_a, setting.axis_b, site_a, site_b)
-    signs = np.array([+1.0, -1.0])
-    return float(signs @ probs @ signs)
+    return float(_correlations(psi, [setting.axis_a], [setting.axis_b], site_a, site_b)[0, 0])
 
 
 def chsh(psi: StateVector, a0, a1, b0, b1, signs=(1, 1, 1, -1)) -> float:
@@ -138,22 +145,8 @@ def chsh(psi: StateVector, a0, a1, b0, b1, signs=(1, 1, 1, -1)) -> float:
     """
     if site_count(psi) != 2:
         raise ValueError("CHSH needs a two-site state")
-    terms = [
-        correlation(psi, CorrelationSetting(a, b))
-        for a in (a0, a1)
-        for b in (b0, b1)
-    ]
-    return float(sum(s * t for s, t in zip(signs, terms)))
-
-
-def _xz_correlation_matrix(psi: StateVector) -> np.ndarray:
-    """2x2 matrix T with E(alpha, beta) = [sin a, cos a] T [sin b, cos b]^T."""
-    axes = (xz_axis(math.pi / 2), xz_axis(0.0))  # x then z
-    t = np.empty((2, 2))
-    for i, axis_a in enumerate(axes):
-        for j, axis_b in enumerate(axes):
-            t[i, j] = correlation(psi, CorrelationSetting(axis_a, axis_b))
-    return t
+    terms = _correlations(psi, (a0, a1), (b0, b1))
+    return float(sum(s * t for s, t in zip(signs, terms.flat)))
 
 
 @dataclass(frozen=True)
@@ -183,7 +176,8 @@ def maximize_chsh(psi: StateVector, grid_step_degrees: float):
     angles = np.arange(0.0, 360.0, grid_step_degrees)
     rad = np.radians(angles)
     basis = np.stack([np.sin(rad), np.cos(rad)])
-    table = basis.T @ _xz_correlation_matrix(psi) @ basis  # E(alpha_i, beta_j)
+    xz = (xz_axis(math.pi / 2), xz_axis(0.0))
+    table = basis.T @ _correlations(psi, xz, xz) @ basis  # E(alpha_i, beta_j)
 
     best = -math.inf
     best_idx = None
@@ -214,14 +208,9 @@ def lhv_chsh_value(strategy: LhvStrategy) -> int:
 def enumerate_lhv_strategies():
     """All 16 deterministic strategies with their CHSH values."""
     out = []
-    for ra0 in (+1, -1):
-        for ra1 in (+1, -1):
-            for rb0 in (+1, -1):
-                for rb1 in (+1, -1):
-                    strategy = LhvStrategy(
-                        {("A", 0): ra0, ("A", 1): ra1, ("B", 0): rb0, ("B", 1): rb1}
-                    )
-                    out.append((strategy, lhv_chsh_value(strategy)))
+    for ra0, ra1, rb0, rb1 in itertools.product((+1, -1), repeat=4):
+        strategy = LhvStrategy({("A", 0): ra0, ("A", 1): ra1, ("B", 0): rb0, ("B", 1): rb1})
+        out.append((strategy, lhv_chsh_value(strategy)))
     return out
 
 
@@ -321,8 +310,7 @@ def eraser_curve(cfg: EraserConfig):
     return phases, probs
 
 
-def eraser_visibility(cfg: EraserConfig) -> float:
-    """(max - min)/(max + min) of the detection curve."""
-    _, probs = eraser_curve(cfg)
+def eraser_visibility(probs) -> float:
+    """(max - min)/(max + min) of a detection curve's probabilities."""
     hi, lo = float(probs.max()), float(probs.min())
     return (hi - lo) / (hi + lo)

@@ -46,7 +46,7 @@ class StateVector:
         if amps.size < 1:
             raise ValueError("state must have dimension >= 1")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state vector norm {norm} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -56,11 +56,11 @@ class StateVector:
 
     @classmethod
     def normalized(cls, values) -> "StateVector":
-        """Scale an arbitrary nonzero vector to unit norm."""
+        """Scale an arbitrary nonzero finite vector to unit norm."""
         arr = np.asarray(values, dtype=complex)
         norm = np.linalg.norm(arr)
-        if norm == 0:
-            raise ValueError("cannot normalize the zero vector")
+        if not 0 < norm < np.inf:
+            raise ValueError(f"cannot normalize a vector of norm {norm}")
         return cls(arr / norm)
 
 
@@ -85,16 +85,16 @@ class Pvm:
         for value, proj in branches:
             if proj.shape[0] != dim:
                 raise ValueError("all projectors must share one dimension")
-            if np.max(np.abs(proj - proj.conj().T)) > STRUCT_TOL:
+            if not np.max(np.abs(proj - proj.conj().T)) <= STRUCT_TOL:
                 raise ValueError(f"projector for eigenvalue {value} is not Hermitian")
-            if np.max(np.abs(proj @ proj - proj)) > STRUCT_TOL:
+            if not np.max(np.abs(proj @ proj - proj)) <= STRUCT_TOL:
                 raise ValueError(f"projector for eigenvalue {value} is not idempotent")
             total += proj
         for i, (_, pi) in enumerate(branches):
             for _, pj in branches[i + 1 :]:
-                if np.max(np.abs(pi @ pj)) > STRUCT_TOL:
+                if not np.max(np.abs(pi @ pj)) <= STRUCT_TOL:
                     raise ValueError("projectors of distinct branches must be orthogonal")
-        if np.max(np.abs(total - np.eye(dim))) > STRUCT_TOL:
+        if not np.max(np.abs(total - np.eye(dim))) <= STRUCT_TOL:
             raise ValueError("projectors must sum to the identity")
         values = [value for value, _ in branches]
         if len(set(values)) != len(values):
@@ -116,7 +116,7 @@ class UnitaryOp:
     def __post_init__(self):
         mat = _readonly(self.matrix, "matrix")
         dim = mat.shape[0]
-        if np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) > STRUCT_TOL:
+        if not np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) <= STRUCT_TOL:
             raise ValueError("matrix is not unitary")
         object.__setattr__(self, "matrix", mat)
 
@@ -136,7 +136,7 @@ class MeasurementRecord:
         probs = np.array([p for _, p in outcomes])
         if np.any(probs < -NORM_TOL):
             raise ValueError("negative branch probability")
-        if abs(probs.sum() - 1.0) > STRUCT_TOL:
+        if not abs(probs.sum() - 1.0) <= STRUCT_TOL:
             raise ValueError(f"branch probabilities sum to {probs.sum()}, not 1")
         object.__setattr__(self, "outcomes", outcomes)
 
@@ -227,16 +227,24 @@ def sample_outcome(obs: Pvm, psi: StateVector, seed: int):
     return _sample_with_rng(obs, psi, np.random.default_rng(seed))
 
 
-def spin_pvm(axis) -> Pvm:
-    """Spin observable along a unit 3-vector: projectors (I +- n.sigma)/2."""
-    n = np.asarray(axis, dtype=float)
-    if n.shape != (3,):
+def spin_projectors(axes) -> np.ndarray:
+    """Projectors (I +- n.sigma)/2 for A unit 3-vectors as an (A, 2, 2, 2) array
+    indexed [axis, branch, row, col]; branch 0/1 is outcome +1/-1."""
+    n = np.asarray(axes, dtype=float)
+    if n.ndim != 2 or n.shape[1] != 3:
         raise ValueError("axis must be a 3-vector")
-    if abs(np.linalg.norm(n) - 1.0) > STRUCT_TOL:
-        raise ValueError(f"axis must be unit length, got |axis| = {np.linalg.norm(n)}")
-    n_sigma = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-    eye = np.eye(2, dtype=complex)
-    return Pvm(((+1.0, (eye + n_sigma) / 2), (-1.0, (eye - n_sigma) / 2)))
+    off = np.abs(np.linalg.norm(n, axis=1) - 1.0)
+    if not np.all(off <= STRUCT_TOL):
+        raise ValueError(f"axis must be unit length; |axis| differs from 1 by {off.max()}")
+    x, y, z = (n[:, k, None, None] for k in range(3))
+    n_sigma = x * PAULI_X + y * PAULI_Y + z * PAULI_Z
+    return np.stack([(np.eye(2) + n_sigma) / 2, (np.eye(2) - n_sigma) / 2], axis=1)
+
+
+def spin_pvm(axis) -> Pvm:
+    """Spin observable along a unit 3-vector, from `spin_projectors`."""
+    plus, minus = spin_projectors([axis])[0]
+    return Pvm(((+1.0, plus), (-1.0, minus)))
 
 
 def embed_pvm(obs: Pvm, site: int, n_sites: int, site_dim: int = 2) -> Pvm:

@@ -395,7 +395,7 @@ def _run_eraser(params, *, seed, out, stem, base_dir):
         params["marking"], params["erasure"], params["phaseSamples"]
     )
     phases, probs = entanglement.eraser_curve(cfg)
-    visibility = entanglement.eraser_visibility(cfg)
+    visibility = entanglement.eraser_visibility(probs)
     if params["expectedVisibility"] is not None:
         expected = params["expectedVisibility"]
     else:

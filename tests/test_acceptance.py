@@ -6,6 +6,7 @@ failure); the battery is also exercised end to end through the CLI.
 
 import json
 
+import numpy as np
 import pytest
 
 from qcausal import checks
@@ -36,3 +37,19 @@ def test_cli_check_passes_and_reruns_byte_identically(tmp_path):
     first = (tmp_path / "a" / "check_report.json").read_bytes()
     second = (tmp_path / "b" / "check_report.json").read_bytes()
     assert first == second
+
+
+def test_no_signaling_fails_when_b_marginal_follows_a_axis(monkeypatch):
+    """A table where A's marginal is flat but B's +1 marginal depends on A's
+    axis alpha only: criterion 3 must see B's spread over alpha."""
+
+    def signalling_tables(psi, axes_a, axes_b, site_a=0, site_b=1):
+        p_up = np.linspace(0.2, 0.8, len(axes_a))[:, None, None]  # B's +1 marginal
+        row = np.concatenate([p_up, 1.0 - p_up], axis=-1) / 2  # [alpha, 1, j]
+        table = np.stack([row, row], axis=-2)  # both A outcomes: A's marginal is 1/2
+        return np.broadcast_to(table, (len(axes_a), len(axes_b), 2, 2))
+
+    monkeypatch.setattr(checks.entanglement, "joint_spin_tables", signalling_tables)
+    passed, details, _ = checks._no_signaling(SEED)
+    assert not passed
+    assert abs(details["worstMarginalSpread"] - 0.6) <= 1e-12

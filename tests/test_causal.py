@@ -166,6 +166,64 @@ def test_strict_extension_check_edges():
         strict_extension_check(classical, other)
 
 
+def strict_extension_by_pairs(classical, quantum):
+    """Reference definition: sorted set differences of the ordered pairs."""
+    classical_pairs = set(classical.pairs())
+    quantum_pairs = set(quantum.pairs())
+    missing = sorted(classical_pairs - quantum_pairs)
+    if missing:
+        return causal.ExtensionVerdict(False, None, missing[0])
+    extra = sorted(quantum_pairs - classical_pairs)
+    if not extra:
+        return causal.ExtensionVerdict(False, None, None)
+    return causal.ExtensionVerdict(True, extra[0], None)
+
+
+def transitive_closure(n, edges):
+    rel = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        rel[i, j] = True
+    for k in range(n):
+        rel |= np.outer(rel[:, k], rel[k, :])
+    return rel
+
+
+@st.composite
+def order_pairs(draw):
+    """Two orders over ids e0..e{n-1} in shuffled positions, so that with
+    n > 10 the string order (e10 < e2) differs from the numeric one."""
+    n = draw(st.integers(1, 14))
+    ids = tuple(f"e{k}" for k in draw(st.permutations(range(n))))
+    rank = draw(st.permutations(range(n)))  # both orders extend this ranking
+    forward = [(i, j) for i in range(n) for j in range(n) if rank[i] < rank[j]]
+    edges = st.lists(st.sampled_from(forward), max_size=12) if forward else st.just([])
+    classical_edges = draw(edges)
+    quantum_edges = draw(edges)
+    if draw(st.booleans()):
+        quantum_edges += classical_edges  # quantum contains classical
+    return (
+        CausalOrder(ids, transitive_closure(n, classical_edges)),
+        CausalOrder(ids, transitive_closure(n, quantum_edges)),
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(pair=order_pairs())
+def test_strict_extension_check_matches_pairs_reference(pair):
+    classical, quantum = pair
+    assert strict_extension_check(classical, quantum) == strict_extension_by_pairs(
+        classical, quantum
+    )
+    assert strict_extension_check(classical, classical) == strict_extension_by_pairs(
+        classical, classical
+    )
+
+
+def test_causal_order_rejects_duplicate_ids():
+    with pytest.raises(ValueError, match="duplicate"):
+        CausalOrder(("a", "a"), np.zeros((2, 2), dtype=bool))
+
+
 def test_boost_preserves_classical_order():
     rng = np.random.default_rng(61)
     for _ in range(20):

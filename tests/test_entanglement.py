@@ -19,6 +19,7 @@ from qcausal.entanglement import (
     eraser_visibility,
     ghz,
     joint_spin_probabilities,
+    joint_spin_tables,
     lhv_chsh_value,
     lhv_max_chsh,
     maximize_chsh,
@@ -354,6 +355,71 @@ def test_batched_epr_raises_like_per_trial_loop_on_impossible_branch(monkeypatch
     assert errors[0] == errors[1]
 
 
+def joint_per_pair(psi, axis_a, axis_b, site_a=0, site_b=1):
+    """Reference definition: embed both spin PVMs in the register and take
+    <psi| P_i P_j |psi> branch by branch."""
+    n = psi.dimension.bit_length() - 1
+    pvm_a = embed_pvm(spin_pvm(axis_a), site_a, n)
+    pvm_b = embed_pvm(spin_pvm(axis_b), site_b, n)
+    probs = np.empty((2, 2))
+    for i, (_, pa) in enumerate(pvm_a.branches):
+        projected = pa @ psi.amplitudes
+        for j, (_, pb) in enumerate(pvm_b.branches):
+            probs[i, j] = float(np.real(np.vdot(projected, pb @ projected)))
+    return probs
+
+
+unit_axes = st.lists(UNIT, min_size=3, max_size=3).filter(
+    lambda v: np.linalg.norm(v) > 1e-3
+).map(lambda v: np.array(v) / np.linalg.norm(v))
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), n=st.integers(2, 4))
+def test_joint_spin_tables_match_per_pair_reference(data, n):
+    parts = data.draw(st.lists(UNIT, min_size=2 ** (n + 1), max_size=2 ** (n + 1)))
+    amps = np.array(parts[: 2**n]) + 1j * np.array(parts[2**n :])
+    assume(np.linalg.norm(amps) > 1e-3)
+    psi = StateVector.normalized(amps)
+    site_a, site_b = data.draw(st.permutations(range(n)))[:2]
+    axes_a = data.draw(st.lists(unit_axes, min_size=1, max_size=4))
+    axes_b = data.draw(st.lists(unit_axes, min_size=1, max_size=4))
+    tables = joint_spin_tables(psi, axes_a, axes_b, site_a, site_b)
+    assert tables.shape == (len(axes_a), len(axes_b), 2, 2)
+    for x, axis_a in enumerate(axes_a):
+        for y, axis_b in enumerate(axes_b):
+            reference = joint_per_pair(psi, axis_a, axis_b, site_a, site_b)
+            assert np.max(np.abs(tables[x, y] - reference)) <= 1e-12
+
+
+def test_joint_spin_tables_named_cases():
+    phi = bell_phi_plus()
+    tables = joint_spin_tables(phi, [Z_AXIS, X_AXIS], [Z_AXIS, X_AXIS, (0.0, 1.0, 0.0)])
+    assert np.allclose(tables[0, 0], [[0.5, 0.0], [0.0, 0.5]], atol=1e-15)
+    assert np.allclose(tables[1, 1], [[0.5, 0.0], [0.0, 0.5]], atol=1e-15)
+    assert np.allclose(tables[0, 1], 0.25, atol=1e-15)
+    # On Phi+, x on one wing and y on the other are uncorrelated.
+    assert np.allclose(tables[1, 2], 0.25, atol=1e-15)
+    assert np.array_equal(tables[1, 0], joint_spin_probabilities(phi, X_AXIS, Z_AXIS))
+
+
+@pytest.mark.parametrize(
+    "axes_a, sites",
+    [
+        ([Z_AXIS], (0, 0)),
+        ([Z_AXIS], (0, 2)),
+        ([Z_AXIS], (-1, 1)),
+        ([(1.0, 1.0, 0.0)], (0, 1)),
+        ([Z_AXIS, (float("nan"), 0.0, 0.0)], (0, 1)),
+        ([(0.0, 1.0)], (0, 1)),
+        (Z_AXIS, (0, 1)),
+    ],
+)
+def test_joint_spin_tables_rejects_bad_input(axes_a, sites):
+    with pytest.raises(ValueError):
+        joint_spin_tables(bell_phi_plus(), axes_a, [X_AXIS], *sites)
+
+
 def test_no_signaling_marginals_subgrid():
     phi = bell_phi_plus()
     for alpha_deg in range(0, 360, 45):
@@ -367,9 +433,12 @@ def test_no_signaling_marginals_subgrid():
 
 
 def test_eraser_visibilities():
-    assert abs(eraser_visibility(EraserConfig(False, False)) - 1.0) <= 1e-12
-    assert abs(eraser_visibility(EraserConfig(True, False)) - 0.0) <= 1e-12
-    assert abs(eraser_visibility(EraserConfig(True, True)) - 1.0) <= 1e-12
+    for cfg, expected in (
+        (EraserConfig(False, False), 1.0),
+        (EraserConfig(True, False), 0.0),
+        (EraserConfig(True, True), 1.0),
+    ):
+        assert abs(eraser_visibility(eraser_curve(cfg)[1]) - expected) <= 1e-12
 
 
 def test_eraser_curve_shape_and_fringe():
@@ -385,7 +454,7 @@ def test_eraser_marked_curve_is_flat():
 
 def test_eraser_rejects_erasure_without_marking():
     with pytest.raises(ValueError, match="nothing to erase"):
-        eraser_visibility(EraserConfig(False, True))
+        eraser_curve(EraserConfig(False, True))
 
 
 def test_eraser_rejects_few_samples():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qcausal import entanglement
 from qcausal.quantum import (
     MeasurementRecord,
     Pvm,
@@ -15,6 +16,7 @@ from qcausal.quantum import (
     embed_pvm,
     measure_probabilities,
     sample_outcome,
+    spin_projectors,
     spin_pvm,
     tensor,
 )
@@ -236,6 +238,49 @@ def test_measurement_record_validation():
         MeasurementRecord(((1.0, 0.7), (-1.0, 0.7)))
     with pytest.raises(ValueError):
         MeasurementRecord(((1.0, 1.1), (-1.0, -0.1)))
+
+
+NAN = float("nan")
+NAN_AXIS = (NAN, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StateVector([NAN, 0.0]),
+        lambda: StateVector.normalized([NAN, 1.0]),
+        lambda: UnitaryOp([[NAN, 0.0], [0.0, 1.0]]),
+        lambda: Pvm(((1.0, [[NAN, 0.0], [0.0, 0.0]]), (-1.0, [[0.0, 0.0], [0.0, 1.0]]))),
+        lambda: MeasurementRecord(((1.0, NAN), (-1.0, 0.5))),
+        lambda: spin_pvm(NAN_AXIS),
+        lambda: spin_projectors([(0.0, 0.0, 1.0), NAN_AXIS]),
+        lambda: entanglement.CorrelationSetting(NAN_AXIS, (0.0, 0.0, 1.0)),
+        lambda: entanglement.joint_spin_tables(
+            entanglement.bell_phi_plus(), [NAN_AXIS], [(0.0, 0.0, 1.0)]
+        ),
+        lambda: entanglement.epr_consistency(NAN_AXIS, 10, 1),
+    ],
+    ids=[
+        "state", "normalized", "unitary", "pvm", "record", "spin_pvm",
+        "spin_projectors", "correlation_setting", "joint_spin_tables", "epr",
+    ],
+)
+def test_validators_reject_nan(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_spin_projectors_stack_spin_pvms():
+    rng = np.random.default_rng(29)
+    axes = rng.normal(size=(6, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    stacked = spin_projectors(axes)
+    assert stacked.shape == (6, 2, 2, 2)
+    for axis, (plus, minus) in zip(axes, stacked):
+        pvm = spin_pvm(axis)
+        assert pvm.eigenvalues() == (1.0, -1.0)
+        assert np.array_equal(pvm.branches[0][1], plus)
+        assert np.array_equal(pvm.branches[1][1], minus)
 
 
 def test_embed_pvm_lifts_projectors():

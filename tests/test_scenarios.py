@@ -195,6 +195,24 @@ def test_csv_headers_and_artifacts(tmp_path):
     assert len(curve) == 17
 
 
+def test_eraser_run_computes_the_curve_once(tmp_path, monkeypatch):
+    import qcausal.entanglement
+
+    calls = []
+    curve = qcausal.entanglement.eraser_curve
+
+    def counted(cfg):
+        calls.append(cfg)
+        return curve(cfg)
+
+    monkeypatch.setattr(qcausal.entanglement, "eraser_curve", counted)
+    report = run_scenario(
+        parse_scenario("kind = eraser\nmarking = true\nerasure = true\n"), tmp_path
+    )
+    assert report.passed()
+    assert len(calls) == 1
+
+
 def test_output_path_prefixes_artifacts(tmp_path):
     scenario = parse_scenario(
         "kind = eraser\nmarking = false\nerasure = false\noutputPath = fringe\n"
