@@ -23,6 +23,7 @@ the slow point definition.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,12 +45,12 @@ class LatticeSpec:
     def __post_init__(self):
         if self.sites < 8:
             raise ValueError("need at least 8 sites")
-        if self.mass <= 0:
-            raise ValueError("mass must be positive (zero mode otherwise)")
+        if not (self.mass > 0 and math.isfinite(self.mass)):
+            raise ValueError("mass must be positive (zero mode otherwise) and finite")
         if self.time_steps < 2:
             raise ValueError("need at least 2 time steps")
-        if self.time_step <= 0:
-            raise ValueError("time step must be positive")
+        if not (self.time_step > 0 and math.isfinite(self.time_step)):
+            raise ValueError("time step must be positive and finite")
 
 
 @lru_cache(maxsize=32)

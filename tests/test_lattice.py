@@ -31,6 +31,20 @@ def test_spec_validation():
         LatticeSpec(8, 1.0, 8, time_step=0.0)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (16, math.nan, 4),
+        (16, math.inf, 4),
+        (16, 0.5, 4, math.nan),
+        (16, 0.5, 4, math.inf),
+    ],
+)
+def test_spec_rejects_non_finite_mass_and_time_step(args):
+    with pytest.raises(ValueError):
+        LatticeSpec(*args)
+
+
 def test_dispersion_endpoints_and_symmetry():
     assert dispersion(SPEC64, 0) == 1.0
     assert abs(dispersion(SPEC64, 32) - math.sqrt(5.0)) <= 1e-12

@@ -1,10 +1,14 @@
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcausal.cli import main
 from qcausal.fixtures import load_golden
+from qcausal.lattice import LatticeSpec, commutator_table, cone_profile
 from qcausal.scenarios import (
     MAX_ORDER_EVENTS,
     MAX_PHASE_SAMPLES,
@@ -211,6 +215,89 @@ def test_eraser_run_computes_the_curve_once(tmp_path, monkeypatch):
     )
     assert report.passed()
     assert len(calls) == 1
+
+
+def test_runs_write_every_csv_through_emit_csv(tmp_path, monkeypatch):
+    """perfbench's tracer wraps `emit_csv` by name and reads the path from args[0]."""
+    import qcausal.scenarios
+
+    calls = []
+    emit = qcausal.scenarios.emit_csv
+
+    def recorded(*args, **kwargs):
+        calls.append(args[0])
+        return emit(*args, **kwargs)
+
+    monkeypatch.setattr(qcausal.scenarios, "emit_csv", recorded)
+    cone = tmp_path / "cone"
+    eraser = tmp_path / "eraser"
+    run_scenario(parse_scenario("kind = cone\nsites = 16\nmass = 1.0\ntimeSteps = 8\n"), cone)
+    run_scenario(parse_scenario("kind = eraser\nmarking = true\nerasure = false\n"), eraser)
+    assert calls == [
+        cone / "cone_commutators.csv",
+        cone / "cone_cone.csv",
+        eraser / "eraser_curve.csv",
+    ]
+    assert all(path.is_file() for path in calls)
+
+
+def reference_emit_csv(path, header, rows):
+    """The row-by-row writer: one tuple per row and `str()` on every cell."""
+    lines = [header]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def assert_cone_csvs_match_reference(root, sites, mass, time_steps, time_step):
+    text = (
+        f"kind = cone\nsites = {sites}\nmass = {mass!r}\n"
+        f"timeSteps = {time_steps}\ntimeStep = {time_step!r}\n"
+    )
+    run_scenario(parse_scenario(text), root / "run")
+    spec = LatticeSpec(sites, mass, time_steps, time_step)
+    table = commutator_table(spec)
+    dts = table.dts()
+    rows = (
+        (dx, dt, v)
+        for dx, column in enumerate(table.values.T.tolist())
+        for dt, v in zip(dts, column)
+    )
+    reference_emit_csv(root / "commutators.csv", "dx,dt,D", rows)
+    reference_emit_csv(root / "cone.csv", "dt,extent", cone_profile(spec, 1e-3).per_time_extent)
+    for name in ("commutators", "cone"):
+        written = (root / "run" / f"cone_{name}.csv").read_bytes()
+        assert written == (root / f"{name}.csv").read_bytes(), name
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    sites=st.integers(8, 64),
+    time_steps=st.integers(8, 24),
+    mass=st.floats(0.05, 2.0),
+    # 0.1 and 0.3 give dt cells such as 0.30000000000000004. Free draws
+    # start at 0.25: shorter steps can leave 8 time steps with no cone.
+    time_step=st.one_of(st.sampled_from([0.1, 0.3, 0.7, 1.0]), st.floats(0.25, 1.5)),
+)
+def test_cone_csvs_equal_row_by_row_writer(sites, time_steps, mass, time_step):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_cone_csvs_match_reference(Path(tmp), sites, mass, time_steps, time_step)
+
+
+def test_cone_csvs_equal_row_by_row_writer_at_benchmark_size(tmp_path):
+    assert_cone_csvs_match_reference(tmp_path, 512, 1.0, 128, 1.0)
+
+
+@pytest.mark.parametrize("marking, erasure, samples", [(True, False, 9), (False, False, 16)])
+def test_eraser_curve_csv_equals_row_by_row_writer(tmp_path, marking, erasure, samples):
+    from qcausal.entanglement import EraserConfig, eraser_curve
+
+    text = f"kind = eraser\nmarking = {marking}\nerasure = {erasure}\nphaseSamples = {samples}\n"
+    run_scenario(parse_scenario(text), tmp_path / "run")
+    phases, probs = eraser_curve(EraserConfig(marking, erasure, samples))
+    rows = zip(phases.tolist(), probs.tolist())
+    reference_emit_csv(tmp_path / "curve.csv", "phi,probability", rows)
+    written = (tmp_path / "run" / "eraser_curve.csv").read_bytes()
+    assert written == (tmp_path / "curve.csv").read_bytes()
 
 
 def test_output_path_prefixes_artifacts(tmp_path):
