@@ -178,8 +178,8 @@ class ConeProfile:
     def __post_init__(self):
         if any(extent < 0 for _, extent in self.per_time_extent):
             raise ValueError("extents must be non-negative")
-        if self.fitted_speed <= 0:
-            raise ValueError("fitted speed must be positive")
+        if not self.fitted_speed >= 0:
+            raise ValueError("fitted speed must be non-negative")
 
     def extents(self) -> np.ndarray:
         return np.array([extent for _, extent in self.per_time_extent])
@@ -191,7 +191,12 @@ class ConeProfile:
 
 def cone_profile(spec: LatticeSpec, eps: float) -> ConeProfile:
     """Extents for integer time separations 1 .. (T-1)//2 and the
-    least-squares front speed."""
+    least-squares front speed.
+
+    Extents that do not grow give speed 0.0: a cone narrower than one site
+    (no |D| >= eps past dx = 0, all extents 0) or one already wrapped round
+    a small ring. The slope's sign comes from exact integer sums, so such a
+    fit is not a rounding residue such as -4.9e-16."""
     if spec.time_steps < 8:
         raise ValueError("cone profile needs at least 8 time steps")
     if eps <= 0:
@@ -201,8 +206,7 @@ def cone_profile(spec: LatticeSpec, eps: float) -> ConeProfile:
     hits = np.abs(_rows(spec, steps))[:, : half + 1] >= eps
     # the last dx with |D| >= eps in each row, 0 where there is none
     extents = np.where(hits.any(axis=1), half - np.argmax(hits[:, ::-1], axis=1), 0)
-    if not extents.any():
-        raise ValueError(f"no cone detected at eps={eps}")
     dts = steps * spec.time_step
-    speed = float(np.polyfit(dts, extents.astype(float), 1)[0])
+    rise = len(steps) * int(steps @ extents) - int(steps.sum()) * int(extents.sum())
+    speed = float(np.polyfit(dts, extents.astype(float), 1)[0]) if rise else 0.0
     return ConeProfile(tuple(zip(dts.tolist(), extents.tolist())), speed, eps)

@@ -350,6 +350,53 @@ def test_search_matches_brute_force(events, policy):
     assert summary.comparability == comparability
 
 
+def frame_results(summary):
+    relations = [(item.index, item.order.relation.tolist()) for item in summary.admissible]
+    return summary.orientation_count, relations, summary.comparability
+
+
+@st.composite
+def events_off_the_light_cone(draw):
+    """Events and a boost, with every pair's interval at least 1e-9 from 0.
+
+    Exactly on the cone the sign of the interval is decided by rounding in
+    ``boost``; off it a boost with gamma <= 7.1 moves an interval by about
+    1e-12 at most.
+    """
+    n = draw(st.integers(1, 6))
+    coordinate = st.floats(-5.0, 5.0)
+    group = st.sampled_from([None, "g", "h"])
+    events = tuple(
+        Event(f"e{i}", draw(coordinate), (draw(coordinate),), draw(group)) for i in range(n)
+    )
+    assume(all(abs(interval(a, b)) >= 1e-9 for a, b in itertools.combinations(events, 2)))
+    return events, draw(st.floats(-0.99, 0.99))
+
+
+@settings(deadline=None, max_examples=200)
+@given(events_off_the_light_cone())
+def test_all_policy_is_the_same_in_every_frame(case):
+    events, beta = case
+    before = enumerate_admissible_orientations(events, "all")
+    after = enumerate_admissible_orientations(boost(events, beta), "all")
+    assert frame_results(after) == frame_results(before)
+
+
+def test_earliest_first_depends_on_the_frame():
+    # e1 and e2 tie at t = 1 and e1 precedes e3; boosted by 0.5, e2 comes
+    # first and e3 precedes e1, so the policy forces both pairs the other way.
+    moved = boost(THREE_PARTY_EVENTS, 0.5)
+    rest = enumerate_admissible_orientations(THREE_PARTY_EVENTS, "earliest-first")
+    boosted = enumerate_admissible_orientations(moved, "earliest-first")
+    assert (rest.orientation_count, rest.admissible_count) == (2, 2)
+    assert (boosted.orientation_count, boosted.admissible_count) == (1, 1)
+    assert not any(item.order.before("e1", "e3") for item in boosted.admissible)
+    assert all(item.order.before("e1", "e3") for item in rest.admissible)
+    assert frame_results(enumerate_admissible_orientations(moved, "all")) == frame_results(
+        enumerate_admissible_orientations(THREE_PARTY_EVENTS, "all")
+    )
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_one_spacelike_group_has_factorial_admissible(n):
     # |chi(-1)| of the complete graph K_n is n! (Stanley 1973)

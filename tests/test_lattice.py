@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qcausal.fixtures import load_golden
 from qcausal.lattice import (
     CommutatorField,
+    ConeProfile,
     LatticeSpec,
     canonical_check,
     commutation_graph,
@@ -129,6 +130,21 @@ def test_commutator_table_matches_pauli_jordan(sites, mass, time_steps, time_ste
             assert abs(table.value(dx, j) - pauli_jordan(spec, dx, j * time_step)) <= 1e-13
 
 
+@settings(deadline=None)
+@given(
+    sites=st.integers(8, 96),
+    mass=st.floats(0.05, 3.0),
+    time_steps=st.integers(2, 12),
+    time_step=st.floats(0.25, 2.0),
+)
+def test_commutator_table_is_even_in_dx(sites, mass, time_steps, time_step):
+    # D(-dx, dt) = D(dx, dt) because w_n = w_{N-n}: reversing the columns
+    # maps dx to N - 1 - dx, and rolling one column brings that to -dx mod N.
+    values = commutator_table(LatticeSpec(sites, mass, time_steps, time_step)).values
+    mirrored = np.roll(values[:, ::-1], 1, axis=1)
+    assert np.abs(values - mirrored).max() <= 1e-13
+
+
 def test_commutation_graph_equal_time_edges():
     g = commutation_graph(LatticeSpec(8, 1.0, 3), eps=1e-10)
     for t in range(3):
@@ -203,8 +219,19 @@ def test_heavier_mass_never_beats_light_cone_speed():
         assert speeds[2 * m] <= light_speed * 1.10
 
 
+def test_cone_wrapped_round_a_small_ring_fits_speed_zero():
+    # least squares on extents 3, 4, 3 gives -4.9e-16 in floating point
+    profile = cone_profile(LatticeSpec(8, 1.4140625, 8, 1.41796875), eps=1e-3)
+    assert profile.extents().tolist() == [3, 4, 3]
+    assert profile.fitted_speed == 0.0
+
+
 def test_cone_profile_errors():
-    with pytest.raises(ValueError, match="no cone"):
-        cone_profile(LatticeSpec(64, 1.0, 16), eps=50.0)
+    # no row reaches eps past dx = 0: a zero-extent profile, not an error
+    profile = cone_profile(LatticeSpec(64, 1.0, 16), eps=50.0)
+    assert not profile.extents().any()
+    assert profile.fitted_speed == 0.0 and profile.broadening() == 0
+    with pytest.raises(ValueError, match="non-negative"):
+        ConeProfile(profile.per_time_extent, -0.5, 50.0)
     with pytest.raises(ValueError, match="8 time steps"):
         cone_profile(LatticeSpec(64, 1.0, 6), eps=1e-3)

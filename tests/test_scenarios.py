@@ -274,9 +274,8 @@ def assert_cone_csvs_match_reference(root, sites, mass, time_steps, time_step):
     sites=st.integers(8, 64),
     time_steps=st.integers(8, 24),
     mass=st.floats(0.05, 2.0),
-    # 0.1 and 0.3 give dt cells such as 0.30000000000000004. Free draws
-    # start at 0.25: shorter steps can leave 8 time steps with no cone.
-    time_step=st.one_of(st.sampled_from([0.1, 0.3, 0.7, 1.0]), st.floats(0.25, 1.5)),
+    # 0.1 and 0.3 give dt cells such as 0.30000000000000004.
+    time_step=st.one_of(st.sampled_from([0.1, 0.3, 0.7, 1.0]), st.floats(0.05, 1.5)),
 )
 def test_cone_csvs_equal_row_by_row_writer(sites, time_steps, mass, time_step):
     with tempfile.TemporaryDirectory() as tmp:
@@ -285,6 +284,24 @@ def test_cone_csvs_equal_row_by_row_writer(sites, time_steps, mass, time_step):
 
 def test_cone_csvs_equal_row_by_row_writer_at_benchmark_size(tmp_path):
     assert_cone_csvs_match_reference(tmp_path, 512, 1.0, 128, 1.0)
+
+
+def test_cone_narrower_than_one_site_reports_and_fails_speed(tmp_path):
+    scenario_file = tmp_path / "short.scn"
+    scenario_file.write_text(
+        "kind = cone\nsites = 8\nmass = 1\ntimeSteps = 8\ntimeStep = 0.0546875\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(scenario_file), "--out", str(out)]) == 2
+    report = json.loads((out / "cone_report.json").read_text())
+    assert report["metrics"]["fittedSpeed"] == 0.0
+    assert report["metrics"]["maxExtent"] == 0
+    assert report["verdicts"]["speedWithinTolerance"] == "fail"
+    assert report["verdicts"]["equalTimeVanishing"] == "pass"
+    assert (out / "cone_cone.csv").read_text() == (
+        "dt,extent\n0.0546875,0\n0.109375,0\n0.1640625,0\n"
+    )
+    assert len((out / "cone_commutators.csv").read_text().splitlines()) == 1 + 8 * 15
 
 
 @pytest.mark.parametrize("marking, erasure, samples", [(True, False, 9), (False, False, 16)])

@@ -401,6 +401,53 @@ def test_chain_topology_discrete_without_complements():
     assert report.topology.specialization_chain_length() == 1
 
 
+def label_sets(groups):
+    return {frozenset(group) for group in groups}
+
+
+def relabelling_invariants(g):
+    report = topology_report(g)
+    payload = report.to_json_dict()
+    return {
+        "subfamilyPoints": label_sets(payload["points"][SUBFAMILY]),
+        "perObservablePoints": label_sets(payload["points"][PER_OBSERVABLE]),
+        "cliques": label_sets(payload["cliques"]),
+        "counts": (len(report.points_subfamily), len(report.points_per_observable)),
+        "flags": payload["flags"],
+        "chainLength": payload["dimensionProxies"]["specializationChainLength"],
+        "hypersurfaceSizes": sorted(len(h) for h in report.hypersurfaces),
+        "openSetCount": payload["openSetCount"],
+    }
+
+
+@settings(deadline=None, max_examples=150)
+@given(symmetric_graphs(max_vertices=10), st.data())
+def test_report_is_invariant_under_relabelling(g, data):
+    order = data.draw(st.permutations(range(g.size)))
+    permuted = CommutationGraph(
+        tuple(g.labels[i] for i in order), g.adjacency[np.ix_(order, order)]
+    )
+    before, after = relabelling_invariants(g), relabelling_invariants(permuted)
+    assert after == before
+    assert not before["flags"]["sizeCapHit"]
+
+
+@settings(deadline=None, max_examples=100)
+@given(symmetric_graphs(max_vertices=10), symmetric_graphs(max_vertices=10))
+def test_disjoint_union_adds_cliques_and_takes_longer_chain(g, h):
+    n = g.size + h.size
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[: g.size, : g.size] = g.adjacency
+    adjacency[g.size :, g.size :] = h.adjacency
+    labels = tuple(f"g{label}" for label in g.labels) + tuple(f"h{label}" for label in h.labels)
+    union = topology_report(CommutationGraph(labels, adjacency))
+    parts = (topology_report(g), topology_report(h))
+    assert len(union.cliques) == sum(len(part.cliques) for part in parts)
+    assert union.topology.specialization_chain_length() == max(
+        part.topology.specialization_chain_length() for part in parts
+    )
+
+
 def test_complete_graph_report():
     report = topology_report(complete_graph(4))
     assert len(report.points_subfamily) == 1
