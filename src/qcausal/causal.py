@@ -29,6 +29,7 @@ import numpy as np
 from .topology import ResourceLimitError
 
 MAX_ADMISSIBLE = 4096
+CHECK_BLOCK = 256  # relations per float32 copy in _check_strict_orders
 
 
 class CycleError(ValueError):
@@ -71,6 +72,28 @@ def _check_events(events):
     return events
 
 
+def _check_strict_orders(rel: np.ndarray):
+    """Raise ValueError unless every relation on the last two axes of ``rel``
+    is a strict partial order, naming the first axiom the first bad one breaks.
+
+    Transitivity is R.R <= R: one float32 matmul per CHECK_BLOCK relations,
+    where ``> 0`` is exact because every term is 0 or 1.
+    """
+    stack = rel[None] if rel.ndim == 2 else rel
+    for start in range(0, len(stack), CHECK_BLOCK):
+        block = stack[start : start + CHECK_BLOCK]
+        square = block.astype(np.float32)
+        # the diagonal of R & R^T is R's own, so this also finds reflexive cells
+        bad = (block & block.transpose(0, 2, 1)) | ((square @ square > 0) & ~block)
+        if bad.any():
+            r = block[bad.any(axis=(1, 2)).argmax()]
+            if np.diag(r).any():
+                raise ValueError("order must be irreflexive")
+            if (r & r.T).any():
+                raise ValueError("order must be antisymmetric")
+            raise ValueError("order must be transitive")
+
+
 @dataclass(frozen=True, eq=False)
 class CausalOrder:
     """Strict partial order over event ids as a reachability matrix."""
@@ -86,15 +109,7 @@ class CausalOrder:
             raise ValueError("relation shape does not match id count")
         if len(set(ids)) != n:
             raise ValueError("duplicate event ids")
-        if np.diag(rel).any():
-            raise ValueError("order must be irreflexive")
-        if (rel & rel.T).any():
-            raise ValueError("order must be antisymmetric")
-        closure = rel.copy()
-        for k in range(n):
-            closure |= np.outer(closure[:, k], closure[k, :])
-        if not np.array_equal(closure, rel):
-            raise ValueError("order must be transitive")
+        _check_strict_orders(rel)
         rel.setflags(write=False)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "relation", rel)
@@ -275,24 +290,23 @@ def quantum_order(events, orientation: Orientation) -> CausalOrder:
 
 
 @dataclass(frozen=True, eq=False)
-class AdmissibleOrientation:
-    index: int
-    orientation: Orientation
-    order: CausalOrder
-
-
-@dataclass(frozen=True, eq=False)
 class OrientationSummary:
-    events: tuple
+    """Admissible order k is ``relations[k]`` (read-only, in ``classical.ids``
+    order) with orientation index ``indices[k]``; the indices ascend."""
+
     classical: CausalOrder
     free_pairs: tuple
-    admissible: tuple
+    indices: tuple
+    relations: np.ndarray
     comparability: dict
     orientation_count: int
 
     @property
     def admissible_count(self) -> int:
-        return len(self.admissible)
+        return len(self.indices)
+
+    def order(self, k: int) -> CausalOrder:
+        return CausalOrder(self.classical.ids, self.relations[k])
 
 
 def enumerate_admissible_orientations(events, policy="all") -> OrientationSummary:
@@ -321,20 +335,19 @@ def enumerate_admissible_orientations(events, policy="all") -> OrientationSummar
     # Classical and forced edges run strictly forward in time, so only the
     # branching pairs can close a cycle.
     free = tuple(sorted(free_pairs(events), key=sorted))
-    reach, forced, branching = classical.relation, [], []
+    reach, branching = classical.relation, []
     for pair in free:
         a, b = sorted(pair)
         if policy == "all" or not (t[a] < t[b] or t[b] < t[a]):
             branching.append((a, b))
         else:
-            forced.append((a, b) if t[a] < t[b] else (b, a))
-            reach = closed_with(reach, *forced[-1])
+            reach = closed_with(reach, *((a, b) if t[a] < t[b] else (b, a)))
     if policy == "all":
         branching.reverse()  # the last free pair's bit is the most significant
     # Most significant pair first, so the indices come out in order.
     m = len(branching)
     levels = [(a, b, 1 << (m - 1 - i)) for i, (a, b) in enumerate(branching)]
-    found = []
+    indices, found = [], []
 
     def search(level, reach, index):
         if level == m:
@@ -343,7 +356,8 @@ def enumerate_admissible_orientations(events, policy="all") -> OrientationSummar
                     f"more than {MAX_ADMISSIBLE} admissible orientations; "
                     "give `events` fewer spacelike same-group pairs"
                 )
-            found.append((index, reach))
+            indices.append(index)
+            found.append(reach)
             return
         a, b, weight = levels[level]
         for u, v, bit in ((a, b, 0), (b, a, weight)):
@@ -351,26 +365,18 @@ def enumerate_admissible_orientations(events, policy="all") -> OrientationSummar
                 search(level + 1, closed_with(reach, u, v), index + bit)
 
     search(0, reach, 0)
-    admissible = tuple(
-        AdmissibleOrientation(
-            index,
-            Orientation.from_pairs(
-                forced + [(b, a) if index & w else (a, b) for a, b, w in levels]
-            ),
-            CausalOrder(ids, relation),
-        )
-        for index, relation in found
-    )
+    relations = np.array(found, dtype=bool).reshape(-1, len(ids), len(ids))
+    _check_strict_orders(relations)
+    relations.setflags(write=False)
     comparability = {}
-    if found:
-        stacked = np.array([relation for _, relation in found])
-        hits = (stacked | stacked.transpose(0, 2, 1)).sum(axis=0)
+    if indices:
+        hits = (relations | relations.transpose(0, 2, 1)).sum(axis=0)
         for a, b in itertools.combinations(sorted(ids), 2):
             count = hits[pos[a], pos[b]]
             comparability[frozenset((a, b))] = (
-                "all" if count == len(found) else "some" if count else "none"
+                "all" if count == len(indices) else "some" if count else "none"
             )
-    return OrientationSummary(events, classical, free, admissible, comparability, 2**m)
+    return OrientationSummary(classical, free, tuple(indices), relations, comparability, 2**m)
 
 
 @dataclass(frozen=True)

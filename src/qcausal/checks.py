@@ -250,12 +250,12 @@ def _stronger_causal_ordering(seed):
     summary = causal.enumerate_admissible_orientations(events)
     witness = tuple(golden["witnessPair"])
     axioms = contains = comparable = strict = True
-    for item in summary.admissible:
-        rel = item.order.relation
+    for order in map(summary.order, range(summary.admissible_count)):
+        rel = order.relation
         axioms &= not np.diag(rel).any() and not (rel & rel.T).any()
-        contains &= item.order.contains(summary.classical)
-        comparable &= item.order.comparable(*witness)
-        strict &= causal.strict_extension_check(summary.classical, item.order).holds
+        contains &= order.contains(summary.classical)
+        comparable &= order.comparable(*witness)
+        strict &= causal.strict_extension_check(summary.classical, order).holds
     ok = (
         summary.orientation_count == golden["orientationCount"]
         and summary.admissible_count == golden["admissibleCount"]

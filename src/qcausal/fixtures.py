@@ -32,7 +32,7 @@ def _commutator_section(sites, mass, dx_max, dt_max):
 
 def cone_section(sites, mass, time_steps, eps):
     spec = lattice.LatticeSpec(sites, mass, time_steps)
-    profile = lattice.cone_profile(spec, eps)
+    profile = lattice.cone_profile(lattice.commutator_table(spec), eps)
     return {
         "sites": sites,
         "mass": mass,
@@ -88,8 +88,7 @@ def _three_party_section():
         "orientationCount": summary.orientation_count,
         "admissibleCount": summary.admissible_count,
         "witnessPair": list(witness),
-        "witnessComparableInAll": bool(summary.admissible)
-        and all(item.order.comparable(*witness) for item in summary.admissible),
+        "witnessComparableInAll": summary.comparability.get(frozenset(witness)) == "all",
     }
 
 

@@ -17,8 +17,9 @@ transform over modes:
     D(., dt) = Im(ifft(exp(-i w dt) / w)),
 
 so whole rows of D come from one batched FFT (Cooley & Tukey, Math. Comp.
-19 (1965) 297) in O(N log N) each. `pauli_jordan` keeps the direct sum as
-the slow point definition.
+19 (1965) 297) in O(N log N) each. `commutator_table` is the one place that
+runs it; the cone profile and the commutation graph read its rows.
+`pauli_jordan` keeps the direct sum as the slow point definition.
 """
 
 from __future__ import annotations
@@ -95,13 +96,6 @@ def _steps(spec: LatticeSpec) -> np.ndarray:
     return np.arange(-(spec.time_steps - 1), spec.time_steps)
 
 
-def _rows(spec: LatticeSpec, steps: np.ndarray) -> np.ndarray:
-    """D(dx, j * h) for each integer step j and dx = 0..N-1, one row per step."""
-    _, omegas = _mode_tables(spec.sites, spec.mass)
-    dts = steps * spec.time_step
-    return np.fft.ifft(np.exp(-1j * omegas * dts[:, None]) / omegas, axis=1).imag
-
-
 @dataclass(frozen=True, eq=False)
 class CommutatorField:
     """D on the (2T-1, N) grid: row j + T - 1 is dt = j * h, column dx mod N."""
@@ -136,8 +130,11 @@ class CommutatorField:
 
 
 def commutator_table(spec: LatticeSpec) -> CommutatorField:
-    """D on all separations reachable inside the time window."""
-    return CommutatorField(spec, _rows(spec, _steps(spec)))
+    """D on all separations reachable inside the time window, one FFT row per step."""
+    _, omegas = _mode_tables(spec.sites, spec.mass)
+    dts = _steps(spec) * spec.time_step
+    rows = np.fft.ifft(np.exp(-1j * omegas * dts[:, None]) / omegas, axis=1).imag
+    return CommutatorField(spec, rows)
 
 
 def commutation_graph(spec: LatticeSpec, eps: float) -> CommutationGraph:
@@ -149,7 +146,7 @@ def commutation_graph(spec: LatticeSpec, eps: float) -> CommutationGraph:
     if eps <= 0:
         raise ValueError("eps must be positive")
     sites, steps = spec.sites, spec.time_steps
-    commute = np.abs(_rows(spec, _steps(spec))) < eps
+    commute = np.abs(commutator_table(spec).values) < eps
 
     labels = tuple(f"x{x}t{t}" for t in range(steps) for x in range(sites))
     xs = np.tile(np.arange(sites), steps)
@@ -189,21 +186,22 @@ class ConeProfile:
         return max(0, max(int(e) - int(round(dt)) for dt, e in self.per_time_extent))
 
 
-def cone_profile(spec: LatticeSpec, eps: float) -> ConeProfile:
-    """Extents for integer time separations 1 .. (T-1)//2 and the
-    least-squares front speed.
+def cone_profile(table: CommutatorField, eps: float) -> ConeProfile:
+    """Extents for integer time separations 1 .. (T-1)//2, read from the
+    table's rows T .. T-1+(T-1)//2, and the least-squares front speed.
 
     Extents that do not grow give speed 0.0: a cone narrower than one site
     (no |D| >= eps past dx = 0, all extents 0) or one already wrapped round
     a small ring. The slope's sign comes from exact integer sums, so such a
     fit is not a rounding residue such as -4.9e-16."""
+    spec = table.spec
     if spec.time_steps < 8:
         raise ValueError("cone profile needs at least 8 time steps")
     if eps <= 0:
         raise ValueError("eps must be positive")
     half = spec.sites // 2
     steps = np.arange(1, (spec.time_steps + 1) // 2)
-    hits = np.abs(_rows(spec, steps))[:, : half + 1] >= eps
+    hits = np.abs(table.values[steps + spec.time_steps - 1, : half + 1]) >= eps
     # the last dx with |D| >= eps in each row, 0 where there is none
     extents = np.where(hits.any(axis=1), half - np.argmax(hits[:, ::-1], axis=1), 0)
     dts = steps * spec.time_step

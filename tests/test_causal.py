@@ -1,12 +1,14 @@
 import itertools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qcausal import causal
+from qcausal import causal, scenarios
 from qcausal.causal import (
     MAX_ADMISSIBLE,
     THREE_PARTY_EVENTS,
@@ -112,8 +114,8 @@ def test_enumeration_on_three_party_fixture():
     assert summary.orientation_count == 4
     assert summary.admissible_count == 3
     assert summary.comparability[frozenset({"e1", "e3"})] == "all"
-    for item in summary.admissible:
-        verdict = strict_extension_check(summary.classical, item.order)
+    for k in range(summary.admissible_count):
+        verdict = strict_extension_check(summary.classical, summary.order(k))
         assert verdict.holds and verdict.witness is not None
 
 
@@ -127,14 +129,14 @@ def test_enumeration_without_free_pairs_reduces_to_classical():
     summary = enumerate_admissible_orientations(chained)
     assert summary.orientation_count == 1
     assert summary.admissible_count == 1
-    assert summary.admissible[0].order.pairs() == summary.classical.pairs()
+    assert summary.order(0).pairs() == summary.classical.pairs()
 
 
 def test_enumeration_ungrouped_events_keep_classical_order():
     events = (Event("a", 0.0, (0.0,)), Event("b", 1.0, (5.0,)))
     summary = enumerate_admissible_orientations(events)
     assert summary.orientation_count == 1
-    assert summary.admissible[0].order.pairs() == summary.classical.pairs()
+    assert summary.order(0).pairs() == summary.classical.pairs()
 
 
 def test_enumeration_admissible_cap():
@@ -253,13 +255,14 @@ def test_boost_changes_coordinates_but_not_intervals():
 def test_earliest_first_orientation_branches_on_ties():
     summary = enumerate_admissible_orientations(THREE_PARTY_EVENTS, "earliest-first")
     assert summary.orientation_count == 2
-    orientations = [item.orientation for item in summary.admissible]
+    orders = [summary.order(k) for k in range(summary.admissible_count)]
     # e1/e2 are simultaneous (tie, branched); e1 precedes e3 in coordinate time
-    assert len(orientations) == 2
-    for orientation in orientations:
-        assert orientation.direction[frozenset({"e1", "e3"})] == ("e1", "e3")
-    directions = {o.direction[frozenset({"e1", "e2"})] for o in orientations}
-    assert directions == {("e1", "e2"), ("e2", "e1")}
+    assert len(orders) == 2
+    for order in orders:
+        assert order.before("e1", "e3") and not order.before("e3", "e1")
+    directions = {order.before("e1", "e2") for order in orders}
+    assert directions == {True, False}
+    assert all(order.comparable("e1", "e2") for order in orders)
     with pytest.raises(ValueError, match="policy"):
         enumerate_admissible_orientations(THREE_PARTY_EVENTS, "latest-first")
 
@@ -343,15 +346,15 @@ def test_search_matches_brute_force(events, policy):
     summary = enumerate_admissible_orientations(events, policy)
     assert summary.free_pairs == free
     assert summary.orientation_count == count
-    assert [item.index for item in summary.admissible] == [index for index, _, _ in admissible]
-    for item, (_, orientation, order) in zip(summary.admissible, admissible):
-        assert item.orientation == orientation
-        assert np.array_equal(item.order.relation, order.relation)
+    assert summary.indices == tuple(index for index, _, _ in admissible)
+    assert summary.relations.shape == (len(admissible), len(events), len(events))
+    for relation, (_, _, order) in zip(summary.relations, admissible):
+        assert np.array_equal(relation, order.relation)
     assert summary.comparability == comparability
 
 
 def frame_results(summary):
-    relations = [(item.index, item.order.relation.tolist()) for item in summary.admissible]
+    relations = list(zip(summary.indices, summary.relations.tolist()))
     return summary.orientation_count, relations, summary.comparability
 
 
@@ -390,8 +393,9 @@ def test_earliest_first_depends_on_the_frame():
     boosted = enumerate_admissible_orientations(moved, "earliest-first")
     assert (rest.orientation_count, rest.admissible_count) == (2, 2)
     assert (boosted.orientation_count, boosted.admissible_count) == (1, 1)
-    assert not any(item.order.before("e1", "e3") for item in boosted.admissible)
-    assert all(item.order.before("e1", "e3") for item in rest.admissible)
+    e1, e3 = (rest.classical.ids.index(i) for i in ("e1", "e3"))
+    assert not boosted.relations[:, e1, e3].any()
+    assert rest.relations[:, e1, e3].all()
     assert frame_results(enumerate_admissible_orientations(moved, "all")) == frame_results(
         enumerate_admissible_orientations(THREE_PARTY_EVENTS, "all")
     )
@@ -415,4 +419,119 @@ def test_search_builds_no_order_one_orientation_at_a_time(monkeypatch):
 
     monkeypatch.setattr(causal, "quantum_order", refuse)
     summary = enumerate_admissible_orientations(THREE_PARTY_EVENTS)
-    assert [item.index for item in summary.admissible] == [0, 1, 3]
+    assert summary.indices == (0, 1, 3)
+
+
+def closure_check(rel):
+    """Reference: the n-step np.outer closure check CausalOrder made per order."""
+    if np.diag(rel).any():
+        raise ValueError("order must be irreflexive")
+    if (rel & rel.T).any():
+        raise ValueError("order must be antisymmetric")
+    closure = rel.copy()
+    for k in range(len(rel)):
+        closure |= np.outer(closure[:, k], closure[k, :])
+    if not np.array_equal(closure, rel):
+        raise ValueError("order must be transitive")
+
+
+def first_error(check, relations):
+    try:
+        for rel in relations:
+            check(rel)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@st.composite
+def relations(draw, n, kinds=("order", "flipped", "arbitrary")):
+    """A strict order over a random ranking, the same with one cell flipped
+    (breaking one axiom or none), or an arbitrary bool matrix."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "arbitrary":
+        cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        return np.array(cells, dtype=bool).reshape(n, n)
+    rank = draw(st.permutations(range(n)))
+    forward = [(i, j) for i in range(n) for j in range(n) if rank[i] < rank[j]]
+    edges = draw(st.lists(st.sampled_from(forward), max_size=2 * n)) if forward else []
+    rel = transitive_closure(n, edges)
+    if kind == "flipped":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rel[i, j] = not rel[i, j]
+    return rel
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_check_strict_orders_raises_like_closure_check(data):
+    n = data.draw(st.integers(1, 7))
+    rel = data.draw(relations(n))
+    assert first_error(causal._check_strict_orders, [rel]) == first_error(closure_check, [rel])
+    # A stack of one valid order with a few drawn relations placed in it,
+    # often next to a block boundary. The first failing relation of the
+    # stack is the first failing placed one.
+    length = data.draw(st.integers(1, 3 * causal.CHECK_BLOCK))
+    filler = data.draw(relations(n, kinds=("order",)))
+    stack = np.repeat(filler[None], length, axis=0)
+    block = causal.CHECK_BLOCK
+    near_boundary = st.sampled_from([block - 1, block, 2 * block - 1, 2 * block])
+    placed = {}
+    for _ in range(data.draw(st.integers(0, 3))):
+        position = min(data.draw(st.integers(0, length - 1) | near_boundary), length - 1)
+        stack[position] = placed[position] = data.draw(relations(n))
+    expected = first_error(closure_check, [filler] + [placed[k] for k in sorted(placed)])
+    assert first_error(causal._check_strict_orders, [stack]) == expected
+    assert first_error(causal._check_strict_orders, [stack[:0]]) is None
+
+
+@settings(deadline=None, max_examples=150)
+@given(event_sets(), st.sampled_from(["all", "earliest-first"]), st.data())
+def test_order_run_verdicts_equal_per_order_checks(events, policy, data):
+    assume(len(free_pairs(events)) <= 10)
+    ids = [e.id for e in events]
+    witness = (data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids)))
+    params = {
+        "events": events,
+        "policy": policy,
+        "witnessPair": witness,
+        "expectStrengthened": True,
+        "expectAdmissible": None,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        _, verdicts, _ = scenarios._run_order(
+            params, seed=0, out=Path(tmp), stem="order", base_dir=None
+        )
+    summary = enumerate_admissible_orientations(events, policy)
+    classical = summary.classical
+    orders = [summary.order(k) for k in range(summary.admissible_count)]
+    assert verdicts["containsClassical"] == all(o.contains(classical) for o in orders)
+    assert verdicts["strengthened"] == (
+        bool(orders) and all(strict_extension_check(classical, o).holds for o in orders)
+    )
+    assert verdicts["witnessComparable"] == (
+        bool(orders) and all(o.comparable(*witness) for o in orders)
+    )
+
+
+def test_order_run_builds_causal_orders_only_to_dump_them(monkeypatch, tmp_path):
+    built, classical_calls = [], []
+    post_init, classical = CausalOrder.__post_init__, causal.classical_order
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_classical(events):
+        classical_calls.append(events)
+        return classical(events)
+
+    monkeypatch.setattr(CausalOrder, "__post_init__", counted_post_init)
+    monkeypatch.setattr(causal, "classical_order", counted_classical)
+    group = "; ".join(f"e{i} 0 {10 * i} @g" for i in range(6))
+    scenario = scenarios.parse_scenario(f"kind = order\nevents = {group}\n")
+    report = scenarios.run_scenario(scenario, tmp_path)
+    assert report.metrics["admissibleCount"] == 720
+    # the classical order (built by each classical_order call) and 32 dumped orders
+    assert len(built) == len(classical_calls) + 32
+    assert len(classical_calls) <= 2

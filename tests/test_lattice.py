@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcausal import lattice
 from qcausal.fixtures import load_golden
 from qcausal.lattice import (
     CommutatorField,
@@ -145,6 +146,37 @@ def test_commutator_table_is_even_in_dx(sites, mass, time_steps, time_step):
     assert np.abs(values - mirrored).max() <= 1e-13
 
 
+def rows_by_step(spec, steps):
+    """Reference: D(dx, j * h) for each integer step j, one FFT over modes
+    per requested step (the cone profile's own rows before it read the table)."""
+    _, omegas = lattice._mode_tables(spec.sites, spec.mass)
+    dts = steps * spec.time_step
+    return np.fft.ifft(np.exp(-1j * omegas * dts[:, None]) / omegas, axis=1).imag
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    sites=st.integers(8, 600),
+    mass=st.floats(0.05, 2.0),
+    time_steps=st.integers(8, 140),
+    time_step=st.one_of(st.sampled_from([0.1, 0.3, 0.7, 1.0]), st.floats(0.05, 1.5)),
+    eps=st.sampled_from([1e-4, 1e-3, 1e-2]),
+)
+def test_cone_profile_equals_per_row_definition(sites, mass, time_steps, time_step, eps):
+    spec = LatticeSpec(sites, mass, time_steps, time_step)
+    table = commutator_table(spec)
+    steps = np.arange(1, (time_steps + 1) // 2)
+    reference = rows_by_step(spec, steps)
+    assert np.array_equal(table.values[steps + time_steps - 1], reference)
+    half = sites // 2
+    extents = [
+        max((dx for dx in range(half + 1) if abs(row[dx]) >= eps), default=0)
+        for row in reference.tolist()
+    ]
+    profile = cone_profile(table, eps)
+    assert profile.per_time_extent == tuple(zip((steps * time_step).tolist(), extents))
+
+
 def test_commutation_graph_equal_time_edges():
     g = commutation_graph(LatticeSpec(8, 1.0, 3), eps=1e-10)
     for t in range(3):
@@ -170,7 +202,7 @@ def test_cone_profile_matches_golden():
     for key in ("cone128", "containment64"):
         section = golden[key]
         spec = LatticeSpec(section["sites"], section["mass"], section["timeSteps"])
-        profile = cone_profile(spec, section["eps"])
+        profile = cone_profile(commutator_table(spec), section["eps"])
         assert [[int(dt), e] for dt, e in profile.per_time_extent] == section["extents"]
         from_point_sums = []
         for j in range(1, (spec.time_steps + 1) // 2):
@@ -187,7 +219,7 @@ def test_cone_profile_matches_golden():
 
 def test_cone_profile_extents_nearly_monotone():
     for spec in (LatticeSpec(128, 0.1, 32), LatticeSpec(64, 1.0, 16)):
-        extents = cone_profile(spec, 1e-3).extents()
+        extents = cone_profile(commutator_table(spec), 1e-3).extents()
         for previous, current in zip(extents, extents[1:]):
             assert current >= previous - 2
 
@@ -211,7 +243,7 @@ def test_equal_time_extent_is_zero():
 def test_heavier_mass_never_beats_light_cone_speed():
     masses = (0.05, 0.1, 0.2, 0.4, 0.8)
     speeds = {
-        m: cone_profile(LatticeSpec(128, m, 32), 1e-3).fitted_speed
+        m: cone_profile(commutator_table(LatticeSpec(128, m, 32)), 1e-3).fitted_speed
         for m in masses + (1.6,)
     }
     light_speed = speeds[0.05]
@@ -221,17 +253,17 @@ def test_heavier_mass_never_beats_light_cone_speed():
 
 def test_cone_wrapped_round_a_small_ring_fits_speed_zero():
     # least squares on extents 3, 4, 3 gives -4.9e-16 in floating point
-    profile = cone_profile(LatticeSpec(8, 1.4140625, 8, 1.41796875), eps=1e-3)
+    profile = cone_profile(commutator_table(LatticeSpec(8, 1.4140625, 8, 1.41796875)), eps=1e-3)
     assert profile.extents().tolist() == [3, 4, 3]
     assert profile.fitted_speed == 0.0
 
 
 def test_cone_profile_errors():
     # no row reaches eps past dx = 0: a zero-extent profile, not an error
-    profile = cone_profile(LatticeSpec(64, 1.0, 16), eps=50.0)
+    profile = cone_profile(commutator_table(LatticeSpec(64, 1.0, 16)), eps=50.0)
     assert not profile.extents().any()
     assert profile.fitted_speed == 0.0 and profile.broadening() == 0
     with pytest.raises(ValueError, match="non-negative"):
         ConeProfile(profile.per_time_extent, -0.5, 50.0)
     with pytest.raises(ValueError, match="8 time steps"):
-        cone_profile(LatticeSpec(64, 1.0, 6), eps=1e-3)
+        cone_profile(commutator_table(LatticeSpec(64, 1.0, 6)), eps=1e-3)

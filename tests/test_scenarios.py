@@ -263,7 +263,7 @@ def assert_cone_csvs_match_reference(root, sites, mass, time_steps, time_step):
         for dt, v in zip(dts, column)
     )
     reference_emit_csv(root / "commutators.csv", "dx,dt,D", rows)
-    reference_emit_csv(root / "cone.csv", "dt,extent", cone_profile(spec, 1e-3).per_time_extent)
+    reference_emit_csv(root / "cone.csv", "dt,extent", cone_profile(table, 1e-3).per_time_extent)
     for name in ("commutators", "cone"):
         written = (root / "run" / f"cone_{name}.csv").read_bytes()
         assert written == (root / f"{name}.csv").read_bytes(), name
