@@ -38,8 +38,10 @@ below p when q ∈ U_p, and the open sets are the unions of the U_p. So
     S open                           U_p ⊆ S for every p ∈ S
 
 and the chain length is the longest strict chain of the preorder. These
-are exact at any size; only the count of open sets is enumerated, and it
-is partial past OPEN_SET_CAP.
+are exact at any size. The open sets are the down-sets of that preorder,
+and they are counted, not enumerated (``generate_topology``). Counting
+down-sets is #P-complete in general (Provan & Ball, SIAM J. Comput. 12
+(1983) 777), so the count runs only until it passes OPEN_SET_CAP.
 """
 
 from __future__ import annotations
@@ -250,8 +252,11 @@ def commutant_neighborhood(g: CommutationGraph, point_set: PointSet, point_index
 class FiniteTopology:
     """A finite topology as its minimal opens U_p, stored as bitmasks.
 
-    The properties are read from the U_p (module docstring); only
-    ``open_set_count`` is enumerated, partial when ``size_cap_hit`` is set.
+    The properties are read from the U_p (module docstring). The open sets
+    are counted, not enumerated: ``open_set_count`` is exact unless
+    ``size_cap_hit`` is set, and then it counts the unions of the first k
+    distinct U_p, sorted as ints, together with the whole space, for the
+    largest k within OPEN_SET_CAP (``generate_topology``).
     """
 
     point_count: int
@@ -303,6 +308,39 @@ def _mask(point_indices) -> int:
     return mask
 
 
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _down_set_count(members: int, below: list, memo: dict) -> int:
+    """Down-sets of the order on the index set ``members``.
+
+    ``below[x]`` is the bitmask of indices at or below x; no index is below
+    a smaller one. With x the top index of S, D(S) = D(S minus x) +
+    D(S minus ↓x): a down-set leaves x out or holds all of ↓x. ``memo``
+    maps bitmasks to counts from ``{0: 1}``; the explicit stack keeps deep
+    orders off the recursion limit.
+    """
+    stack = [members]
+    while stack:
+        s = stack[-1]
+        if s in memo:
+            stack.pop()
+            continue
+        top = s.bit_length() - 1
+        without, beside = s ^ (1 << top), s & ~below[top]
+        if without in memo and beside in memo:
+            memo[s] = memo[without] + memo[beside]
+            stack.pop()
+        else:
+            stack += (without, beside)
+    return memo[members]
+
+
 def generate_topology(
     subbasis, point_count: int, include_point_complements: bool = False
 ) -> FiniteTopology:
@@ -311,7 +349,14 @@ def generate_topology(
     The minimal open U_p is the intersection of the subbasis members that
     contain p, and the open sets are exactly the unions of the U_p (the
     down-sets of the specialization preorder). The U_p decide every
-    property; the unions are enumerated only to count them, up to the cap.
+    property; the open sets are only counted.
+
+    Sorted ascending as ints, the distinct U_p are a linear extension of
+    ⊆, so the unions of the first k of them are the down-sets N_k of the
+    order they induce, and N_{k+1} = N_k + D(P_k minus ↓u_{k+1}), with P_k
+    the first k. ``open_set_count`` is N_k, plus one when the first k do
+    not cover every point, for the largest k that keeps it within
+    OPEN_SET_CAP; ``size_cap_hit`` is set when that k is not the last.
     """
     full = (1 << point_count) - 1
     masks = [_mask(s) & full for s in subbasis]
@@ -320,19 +365,24 @@ def generate_topology(
 
     minimal = [full] * point_count
     for mask in masks:
-        for p in range(point_count):
-            if mask >> p & 1:
-                minimal[p] &= mask
+        for p in _bits(mask):
+            minimal[p] &= mask
 
+    ordered = sorted(set(minimal))
+    index = {u: i for i, u in enumerate(ordered)}
+    below, memo = [], {0: 1}
+    down_sets, covered, prefix = 1, 0, 0
     cap_hit = False
-    opens = {0, full}
-    for u in sorted(set(minimal)):
-        additions = {existing | u for existing in opens}
-        if len(opens | additions) > OPEN_SET_CAP:
+    for i, u in enumerate(ordered):
+        # p ∈ u_i exactly when U_p ⊆ u_i, so ↓u_i is the U_p of u_i's points
+        below.append(_mask(index[minimal[p]] for p in _bits(u)))
+        grown = down_sets + _down_set_count(prefix & ~below[i], below, memo)
+        if grown + ((covered | u) != full) > OPEN_SET_CAP:
             cap_hit = True
             break
-        opens |= additions
-    return FiniteTopology(point_count, tuple(masks), tuple(minimal), len(opens), cap_hit)
+        down_sets, covered, prefix = grown, covered | u, prefix | 1 << i
+    open_set_count = down_sets + (covered != full)
+    return FiniteTopology(point_count, tuple(masks), tuple(minimal), open_set_count, cap_hit)
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,8 +434,11 @@ def topology_report(
 
     commute = point_commutation(g, points)
     neighborhoods = tuple(frozenset(np.flatnonzero(row).tolist()) for row in commute)
-    point_graph = CommutationGraph(tuple(f"p{i}" for i in range(len(points))), commute)
-    hypersurfaces = maximal_cliques(point_graph)
+    if points.points == tuple(frozenset({v}) for v in range(g.size)):
+        hypersurfaces = cliques  # the point graph is g itself
+    else:
+        point_graph = CommutationGraph(tuple(f"p{i}" for i in range(len(points))), commute)
+        hypersurfaces = maximal_cliques(point_graph)
 
     topology = generate_topology(
         neighborhoods, len(points), include_point_complements=include_point_complements

@@ -1,11 +1,17 @@
 import functools
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcausal.topology as topo
 from qcausal.lattice import LatticeSpec, commutation_graph, pauli_jordan
 from qcausal.topology import (
     PER_OBSERVABLE,
@@ -24,6 +30,8 @@ from qcausal.topology import (
     points_commute,
     topology_report,
 )
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def labelled(graph, sets):
@@ -393,6 +401,64 @@ def test_point_complements_force_discreteness():
         assert topology.open_set_count == 2**n
 
 
+def capped_union_count(subbasis, n, include_point_complements=False):
+    """The open-set count as a union loop stopped at OPEN_SET_CAP (reference).
+
+    Adds the sorted distinct minimal opens one at a time, each time uniting
+    it into every open set so far, and stops before the family would pass
+    the cap. Returns ``(open_set_count, size_cap_hit)``.
+    """
+    full = (1 << n) - 1
+    masks = [sum(1 << p for p in set(s)) for s in subbasis]
+    if include_point_complements:
+        masks += [full ^ (1 << p) for p in range(n)]
+    minimal = [full] * n
+    for mask in masks:
+        for p in range(n):
+            if mask >> p & 1:
+                minimal[p] &= mask
+    opens = {0, full}
+    for u in sorted(set(minimal)):
+        additions = {existing | u for existing in opens}
+        if len(opens | additions) > topo.OPEN_SET_CAP:
+            return len(opens), True
+        opens |= additions
+    return len(opens), False
+
+
+@st.composite
+def capped_subbases(draw, max_points=10):
+    n = draw(st.integers(0, max_points))
+    subsets = st.sets(st.integers(0, n - 1)) if n else st.just(set())
+    subbasis = draw(st.lists(subsets, max_size=12))
+    return n, subbasis, draw(st.booleans()), draw(st.integers(1, 64))
+
+
+@settings(deadline=None, max_examples=400)
+@given(capped_subbases())
+def test_open_set_count_matches_capped_union_loop(case):
+    n, subbasis, complements, cap = case
+    with mock.patch.object(topo, "OPEN_SET_CAP", cap):
+        topology = generate_topology(subbasis, n, include_point_complements=complements)
+        expected = capped_union_count(subbasis, n, include_point_complements=complements)
+    assert (topology.open_set_count, topology.size_cap_hit) == expected
+
+
+def test_open_set_count_of_a_large_discrete_space_stops_at_the_cap():
+    topology = generate_topology([[p] for p in range(3000)], 3000)
+    assert (topology.open_set_count, topology.size_cap_hit) == (2**19 + 1, True)
+
+
+def test_open_set_count_of_two_long_chains_needs_no_deep_recursion():
+    # chain a_i = 2i below a_{i+1}, chain b_i = 2i + 1 below b_{i+1}; sorted,
+    # their minimal opens interleave, and a recursive count would go about
+    # 1,000 calls deep. The down-sets of two 1,000-chains number 1001².
+    evens = [list(range(0, 2 * i, 2)) for i in range(1, 1001)]
+    odds = [list(range(1, 2 * i, 2)) for i in range(1, 1001)]
+    topology = generate_topology(evens + odds, 2000)
+    assert (topology.open_set_count, topology.size_cap_hit) == (1001**2, False)
+
+
 def test_chain_topology_discrete_without_complements():
     report = topology_report(disjoint_clique_graph(4, 3))
     assert report.topology.open_set_count == 2 ** len(report.points_subfamily)
@@ -432,20 +498,33 @@ def test_report_is_invariant_under_relabelling(g, data):
     assert not before["flags"]["sizeCapHit"]
 
 
-@settings(deadline=None, max_examples=100)
-@given(symmetric_graphs(max_vertices=10), symmetric_graphs(max_vertices=10))
-def test_disjoint_union_adds_cliques_and_takes_longer_chain(g, h):
+def disjoint_union(g, h):
     n = g.size + h.size
     adjacency = np.zeros((n, n), dtype=bool)
     adjacency[: g.size, : g.size] = g.adjacency
     adjacency[g.size :, g.size :] = h.adjacency
     labels = tuple(f"g{label}" for label in g.labels) + tuple(f"h{label}" for label in h.labels)
-    union = topology_report(CommutationGraph(labels, adjacency))
+    return CommutationGraph(labels, adjacency)
+
+
+@settings(deadline=None, max_examples=100)
+@given(symmetric_graphs(max_vertices=10), symmetric_graphs(max_vertices=10))
+def test_disjoint_union_adds_cliques_and_takes_longer_chain(g, h):
+    union = topology_report(disjoint_union(g, h))
     parts = (topology_report(g), topology_report(h))
     assert len(union.cliques) == sum(len(part.cliques) for part in parts)
     assert union.topology.specialization_chain_length() == max(
         part.topology.specialization_chain_length() for part in parts
     )
+
+
+@settings(deadline=None, max_examples=100)
+@given(symmetric_graphs(max_vertices=10), symmetric_graphs(max_vertices=10))
+def test_disjoint_union_multiplies_open_set_counts(g, h):
+    union = topology_report(disjoint_union(g, h)).topology
+    parts = [topology_report(graph).topology for graph in (g, h)]
+    assert not any(t.size_cap_hit for t in (union, *parts))
+    assert union.open_set_count == parts[0].open_set_count * parts[1].open_set_count
 
 
 def test_complete_graph_report():
@@ -479,6 +558,65 @@ def test_report_enumerates_cliques_once_per_graph(monkeypatch):
     )
     topology_report(shared_vertex_graph())
     assert sizes == [5, 1]  # the observables, then the single point {v}
+
+
+def counted_report(g):
+    """The report and the sizes of the graphs it enumerated cliques on."""
+    sizes = []
+    enumerate_cliques = topo.maximal_cliques
+    with mock.patch.object(
+        topo, "maximal_cliques", lambda graph: sizes.append(graph.size) or enumerate_cliques(graph)
+    ):
+        report = topology_report(g)
+    return report, sizes
+
+
+@st.composite
+def singleton_point_graphs(draw):
+    """Complete graphs minus a perfect matching, relabelled: every point is {v}."""
+    n = 2 * draw(st.integers(1, 5))
+    adj = np.ones((n, n), dtype=bool)
+    for v in range(0, n, 2):
+        adj[v, v + 1] = adj[v + 1, v] = False
+    order = draw(st.permutations(range(n)))
+    return CommutationGraph(tuple(f"o{i}" for i in range(n)), adj[np.ix_(order, order)])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(symmetric_graphs(max_vertices=10), singleton_point_graphs()))
+def test_hypersurfaces_match_the_point_graph_cliques(g):
+    report, sizes = counted_report(g)
+    points = report.points_subfamily
+    commute = point_commutation(g, points)
+    point_graph = CommutationGraph(tuple(f"p{i}" for i in range(len(points))), commute)
+    assert report.hypersurfaces == maximal_cliques(point_graph)
+    singletons = points.points == tuple(frozenset({v}) for v in range(g.size))
+    assert sizes == ([g.size] if singletons else [g.size, len(points)])
+
+
+def test_lattice_report_enumerates_cliques_once():
+    report, sizes = counted_report(commutation_graph(LatticeSpec(8, 1.0, 4), 1e-3))
+    assert sizes == [32]
+    assert report.hypersurfaces == report.cliques and len(report.cliques) == 76
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_lattice_report_peak_rss_stays_small():
+    # A fresh interpreter, so that no other test's memory counts. It reads
+    # VmHWM, the peak RSS of its own address space: on Linux ru_maxrss also
+    # keeps the peak of the process image before exec, here the test runner's.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    code = (
+        "from qcausal.lattice import LatticeSpec, commutation_graph\n"
+        "from qcausal.topology import topology_report\n"
+        "topology_report(commutation_graph(LatticeSpec(8, 1.0, 4), 1e-3))\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(status.split('VmHWM:')[1].split()[0])"
+    )
+    done = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT, env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert int(done.stdout.split()[-1]) < 100 * 1024  # KiB
 
 
 def test_report_json_contract():
