@@ -197,8 +197,7 @@ class Orientation:
         return cls({frozenset(p): tuple(p) for p in pairs})
 
 
-def same_group_pairs(events):
-    events = _check_events(events)
+def _same_group_pairs(events):
     return tuple(
         frozenset((a.id, b.id))
         for a, b in itertools.combinations(events, 2)
@@ -206,14 +205,18 @@ def same_group_pairs(events):
     )
 
 
-def free_pairs(events):
-    """Same-group pairs left unordered by the classical light cone."""
-    classical = classical_order(events)
+def _free_pairs(events, classical: CausalOrder):
     return tuple(
         pair
-        for pair in same_group_pairs(events)
+        for pair in _same_group_pairs(events)
         if not classical.comparable(*sorted(pair))
     )
+
+
+def free_pairs(events):
+    """Same-group pairs left unordered by the classical light cone."""
+    events = _check_events(events)
+    return _free_pairs(events, classical_order(events))
 
 
 def enforcement_edges(events, orientation: Orientation):
@@ -223,9 +226,10 @@ def enforcement_edges(events, orientation: Orientation):
     take the orientation's. A missing or classically contradicted entry is
     an error.
     """
+    events = _check_events(events)
     classical = classical_order(events)
     edges = []
-    for pair in same_group_pairs(events):
+    for pair in _same_group_pairs(events):
         a, b = sorted(pair)
         if classical.before(a, b) or classical.before(b, a):
             forward = (a, b) if classical.before(a, b) else (b, a)
@@ -334,7 +338,7 @@ def enumerate_admissible_orientations(events, policy="all") -> OrientationSummar
 
     # Classical and forced edges run strictly forward in time, so only the
     # branching pairs can close a cycle.
-    free = tuple(sorted(free_pairs(events), key=sorted))
+    free = tuple(sorted(_free_pairs(events, classical), key=sorted))
     reach, branching = classical.relation, []
     for pair in free:
         a, b = sorted(pair)

@@ -11,6 +11,7 @@ resource error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from .scenarios import DEFAULT_SEED, emit_json, parse_scenario, run_scenario
 from .topology import ResourceLimitError
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qcausal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,8 +8,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcausal import checks
+from qcausal import checks, topology
 from qcausal.cli import main
 
 SEED = checks.DEFAULT_SEED
@@ -53,3 +55,59 @@ def test_no_signaling_fails_when_b_marginal_follows_a_axis(monkeypatch):
     passed, details, _ = checks._no_signaling(SEED)
     assert not passed
     assert abs(details["worstMarginalSpread"] - 0.6) <= 1e-12
+
+
+def per_subset_points(cliques, n_vertices):
+    """Criterion 9's oracle by definition: each non-empty subfamily's
+    intersection as one masked AND per member, then the minimal non-empty
+    results."""
+    masks = np.array([sum(1 << v for v in clique) for clique in cliques], dtype=np.int64)
+    subsets = np.arange(1, 2 ** len(masks), dtype=np.int64)
+    inter = np.full(subsets.shape, (1 << n_vertices) - 1, dtype=np.int64)
+    for i in range(len(masks)):
+        chosen = (subsets >> i) & 1 == 1
+        inter[chosen] &= masks[i]
+    distinct = {int(m) for m in inter.tolist() if m}
+    minimal = {
+        m for m in distinct if not any(o != m and (o | m) == m for o in distinct)
+    }
+    return {
+        frozenset(v for v in range(n_vertices) if m >> v & 1) for m in minimal
+    }
+
+
+@st.composite
+def subset_families(draw):
+    n = draw(st.integers(1, 12))
+    family = draw(st.lists(st.frozensets(st.integers(0, n - 1)), min_size=1, max_size=12))
+    return family, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(subset_families())
+def test_doubling_oracle_matches_per_subset_oracle(case):
+    family, n = case
+    assert checks._brute_force_points(family, n) == per_subset_points(family, n)
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_doubling_oracle_on_named_point_graphs(index):
+    g = checks._named_point_graphs()[index]
+    cliques = topology.maximal_cliques(g)
+    expected = per_subset_points(cliques, g.size)
+    assert checks._brute_force_points(cliques, g.size) == expected
+    assert expected == set(topology.points_of_m(g, topology.SUBFAMILY).points)
+
+
+def test_points_oracle_enumerates_cliques_once_per_graph(monkeypatch):
+    enumerate_cliques, calls = topology.maximal_cliques, []
+
+    def counted(g):
+        calls.append(g)
+        return enumerate_cliques(g)
+
+    monkeypatch.setattr(topology, "maximal_cliques", counted)
+    passed, details, _ = checks._points_oracle_equivalence(SEED)
+    assert passed
+    assert details["resampledDenseGraphs"] > 0  # the resample rule is exercised
+    assert len(calls) == 3 + 200 + details["resampledDenseGraphs"]

@@ -534,4 +534,4 @@ def test_order_run_builds_causal_orders_only_to_dump_them(monkeypatch, tmp_path)
     assert report.metrics["admissibleCount"] == 720
     # the classical order (built by each classical_order call) and 32 dumped orders
     assert len(built) == len(classical_calls) + 32
-    assert len(classical_calls) <= 2
+    assert len(classical_calls) == 1

@@ -10,6 +10,7 @@ from qcausal.cli import main
 from qcausal.fixtures import load_golden
 from qcausal.lattice import LatticeSpec, commutator_table, cone_profile
 from qcausal.scenarios import (
+    DEFAULT_SEED,
     MAX_ORDER_EVENTS,
     MAX_PHASE_SAMPLES,
     ScenarioError,
@@ -140,6 +141,19 @@ def test_exit_code_validation_error(tmp_path, capsys):
 
 def test_exit_code_missing_file(tmp_path):
     assert main(["run", str(tmp_path / "nope.scn"), "--out", str(tmp_path)]) == 1
+
+
+def test_cli_runs_do_not_share_a_seed_override(tmp_path):
+    """The parser is built once per process; one call's --seed must not
+    become the next call's default."""
+    scenario_file = tmp_path / "bell.scn"
+    scenario_file.write_text("kind = bell\naxis = z\ntrials = 10\n")
+    seeds = []
+    for extra in (["--seed", "12345"], []):
+        out = tmp_path / f"out{len(seeds)}"
+        assert main(["run", str(scenario_file), "--out", str(out), *extra]) == 0
+        seeds.append(json.loads((out / "bell_report.json").read_text())["inputsEcho"]["seed"])
+    assert seeds == [12345, DEFAULT_SEED]
 
 
 @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
