@@ -14,22 +14,21 @@ package and leaves nothing behind in it.
 import importlib
 
 _NAMES = {
-    "quantum": """MeasurementRecord Pvm StateVector UnitaryOp amplitude apply_unitary
-        basis_state collapse embed_pvm measure_probabilities sample_outcome spin_pvm
-        tensor""",
+    "quantum": """MeasurementRecord Pvm StateVector UnitaryOp apply_unitary basis_state
+        collapse embed_pvm measure_probabilities spin_pvm tensor""",
     "entanglement": """ChshSettings CorrelationSetting EraserConfig LhvStrategy
         bell_phi_plus chsh correlation enumerate_lhv_strategies epr_consistency
         eraser_visibility ghz joint_spin_probabilities lhv_max_chsh maximize_chsh
         xz_axis""",
     "lattice": """CommutatorField ConeProfile LatticeSpec canonical_check
-        commutation_graph commutator_table cone_profile dispersion pauli_jordan""",
+        commutation_graph commutator_table cone_profile pauli_jordan""",
     "topology": """PER_OBSERVABLE SUBFAMILY CommutationGraph FiniteTopology PointSet
-        ResourceLimitError TopologyReport commutant_neighborhood complete_graph
+        ResourceLimitError TopologyReport complete_graph
         disjoint_clique_graph generate_topology maximal_cliques parse_edge_list
         point_commutation points_of_m topology_report""",
-    "causal": """THREE_PARTY_EVENTS CausalOrder CycleError Event ExtensionVerdict
-        Orientation OrientationSummary boost classical_order enforcement_edges
-        enumerate_admissible_orientations quantum_order strict_extension_check""",
+    "causal": """THREE_PARTY_EVENTS CausalOrder Event ExtensionVerdict OrientationSummary
+        boost classical_order enumerate_admissible_orientations quantum_order
+        strict_extension_check""",
 }
 _HOME = {name: layer for layer, names in _NAMES.items() for name in names.split()}
 

@@ -4,9 +4,9 @@ Events carry Minkowski coordinates (units c = 1). The classical order puts
 e before f when f lies in e's closed future light cone (lightlike boundary
 included). Measurements of one entanglement group are additionally linked
 pairwise by directed enforcement edges; nothing fixes the direction between
-spacelike measurements, so it comes from an explicit orientation and
-conclusions are quantified over all acyclic orientations. The quantum
-order is the transitive closure of classical plus enforcement edges; an
+spacelike measurements (the free pairs), so conclusions are quantified over
+all acyclic orientations of them. ``quantum_order`` is the definition: the
+transitive closure of classical plus one given edge per free pair; an
 orientation whose closure contains a cycle is inadmissible.
 
 ``enumerate_admissible_orientations`` searches depth-first over the free
@@ -30,15 +30,6 @@ from .topology import ResourceLimitError
 
 MAX_ADMISSIBLE = 4096
 CHECK_BLOCK = 256  # relations per float32 copy in _check_strict_orders
-
-
-class CycleError(ValueError):
-    """Orientation forces mutually preceding events."""
-
-    def __init__(self, cycle):
-        self.cycle = tuple(cycle)
-        loop = " -> ".join(self.cycle + (self.cycle[0],))
-        super().__init__(f"enforcement orientation induces a causal cycle: {loop}")
 
 
 @dataclass(frozen=True)
@@ -154,13 +145,25 @@ class CausalOrder:
 
 
 def classical_order(events) -> CausalOrder:
-    """e before f iff t_f > t_e and the interval is causal (>= 0)."""
+    """e before f iff t_f > t_e and the interval is causal (>= 0).
+
+    Entry (i, j) repeats ``interval``'s float operations in its order, so
+    the relation is bit for bit the per-pair definition's. Python's ``**``
+    is the C library's pow, which can differ from d * d in the last bit,
+    so the squares come from ``np.float_power`` (also pow), not ``**``.
+    Coordinates whose interval overflows raise ValueError.
+    """
     events = _check_events(events)
-    n = len(events)
-    rel = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(events):
-        for j, b in enumerate(events):
-            rel[i, j] = b.t > a.t and interval(a, b) >= 0
+    coords = np.array([(e.t, *e.x) for e in events])
+    try:
+        with np.errstate(over="raise", invalid="ignore"):  # NaN compares false, as in Python
+            d = coords - coords[:, None]  # d[i, j]: event j minus event i, time first
+            dt = d[:, :, 0]
+            spatial = sum(np.float_power(d[:, :, k], 2) for k in range(1, coords.shape[1]))
+            rel = dt * dt - spatial >= 0
+    except FloatingPointError as err:
+        raise ValueError(f"event coordinates too large for the interval ({err})") from None
+    rel &= dt > 0
     return CausalOrder(tuple(e.id for e in events), rel)
 
 
@@ -177,39 +180,11 @@ def boost(events, beta: float):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """Direction choices for same-group pairs not ordered classically."""
-
-    direction: dict
-
-    def __post_init__(self):
-        normalized = {}
-        for key, pair in self.direction.items():
-            pair = tuple(pair)
-            if frozenset(key) != frozenset(pair) or len(pair) != 2 or pair[0] == pair[1]:
-                raise ValueError(f"inconsistent orientation entry {key!r} -> {pair!r}")
-            normalized[frozenset(pair)] = pair
-        object.__setattr__(self, "direction", normalized)
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "Orientation":
-        return cls({frozenset(p): tuple(p) for p in pairs})
-
-
-def _same_group_pairs(events):
+def _free_pairs(events, classical: CausalOrder):
     return tuple(
         frozenset((a.id, b.id))
         for a, b in itertools.combinations(events, 2)
-        if a.group is not None and a.group == b.group
-    )
-
-
-def _free_pairs(events, classical: CausalOrder):
-    return tuple(
-        pair
-        for pair in _same_group_pairs(events)
-        if not classical.comparable(*sorted(pair))
+        if a.group is not None and a.group == b.group and not classical.comparable(a.id, b.id)
     )
 
 
@@ -219,78 +194,38 @@ def free_pairs(events):
     return _free_pairs(events, classical_order(events))
 
 
-def enforcement_edges(events, orientation: Orientation):
-    """One directed edge per same-group pair.
+def quantum_order(events, directed) -> CausalOrder:
+    """Transitive closure of the classical order plus the enforcement edges.
 
-    Classically ordered pairs keep the classical direction; spacelike pairs
-    take the orientation's. A missing or classically contradicted entry is
-    an error.
+    ``directed`` gives every free pair (``free_pairs``) exactly once, as an
+    (earlier, later) id pair; a missing, repeated or non-free pair raises
+    ValueError, and so does an orientation whose closure has a causal cycle.
+    The search in ``enumerate_admissible_orientations`` never calls this
+    definition.
     """
     events = _check_events(events)
     classical = classical_order(events)
-    edges = []
-    for pair in _same_group_pairs(events):
-        a, b = sorted(pair)
-        if classical.before(a, b) or classical.before(b, a):
-            forward = (a, b) if classical.before(a, b) else (b, a)
-            chosen = orientation.direction.get(pair)
-            if chosen is not None and chosen != forward:
-                raise ValueError(
-                    f"orientation {chosen} contradicts the classical ordering {forward}"
-                )
-            edges.append(forward)
-        else:
-            chosen = orientation.direction.get(pair)
-            if chosen is None:
-                raise ValueError(f"orientation missing for spacelike pair {tuple(sorted(pair))}")
-            edges.append(chosen)
-    return tuple(edges)
-
-
-def _witness_cycle(ids, edge_matrix, i, j):
-    """Concrete cycle through two mutually reachable vertices."""
-
-    def path(src, dst):
-        parents = {src: None}
-        queue = [src]
-        while queue:
-            v = queue.pop(0)
-            if v == dst:
-                break
-            for w in np.nonzero(edge_matrix[v])[0]:
-                if int(w) not in parents:
-                    parents[int(w)] = v
-                    queue.append(int(w))
-        out = [dst]
-        while parents[out[-1]] is not None:
-            out.append(parents[out[-1]])
-        return out[::-1]
-
-    loop = path(i, j) + path(j, i)[1:-1]
-    return [ids[v] for v in loop]
-
-
-def quantum_order(events, orientation: Orientation) -> CausalOrder:
-    """Transitive closure of the classical order plus enforcement edges.
-
-    Raises CycleError (with a witness cycle) when the orientation is
-    inadmissible; otherwise the result contains the classical order.
-    """
-    events = _check_events(events)
-    ids = tuple(e.id for e in events)
-    pos = {event_id: k for k, event_id in enumerate(ids)}
-    base = classical_order(events).relation.copy()
-    for a, b in enforcement_edges(events, orientation):
-        base[pos[a], pos[b]] = True
-    closure = base.copy()
-    for k in range(len(ids)):
+    free = set(_free_pairs(events, classical))
+    pos = {event_id: k for k, event_id in enumerate(classical.ids)}
+    closure = classical.relation.copy()
+    given = set()
+    for a, b in directed:
+        pair = frozenset((a, b))
+        if pair not in free:
+            raise ValueError(f"({a!r}, {b!r}) is not a free pair")
+        if pair in given:
+            raise ValueError(f"free pair {tuple(sorted(pair))} given twice")
+        given.add(pair)
+        closure[pos[a], pos[b]] = True
+    if given != free:
+        missing = min(tuple(sorted(p)) for p in free - given)
+        raise ValueError(f"no direction for free pair {missing}")
+    for k in range(len(pos)):
         closure |= np.outer(closure[:, k], closure[k, :])
-    mutual = closure & closure.T
-    if mutual.any():
-        off_diagonal = mutual & ~np.eye(len(ids), dtype=bool)
-        i, j = map(int, np.argwhere(off_diagonal)[0])
-        raise CycleError(_witness_cycle(ids, base, i, j))
-    return CausalOrder(ids, closure)
+    if np.diag(closure).any():
+        on_cycle = [classical.ids[k] for k in np.flatnonzero(np.diag(closure))]
+        raise ValueError(f"enforcement edges close a causal cycle through {', '.join(on_cycle)}")
+    return CausalOrder(classical.ids, closure)
 
 
 @dataclass(frozen=True, eq=False)

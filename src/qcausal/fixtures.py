@@ -21,11 +21,9 @@ def load_golden() -> dict:
 
 
 def _commutator_section(sites, mass, dx_max, dt_max):
-    spec = lattice.LatticeSpec(sites, mass, dt_max + 2)
+    table = lattice.commutator_table(lattice.LatticeSpec(sites, mass, dt_max + 2))
     values = [
-        [dx, dt, lattice.pauli_jordan(spec, dx, float(dt))]
-        for dx in range(dx_max + 1)
-        for dt in range(dt_max + 1)
+        [dx, dt, table.value(dx, dt)] for dx in range(dx_max + 1) for dt in range(dt_max + 1)
     ]
     return {"sites": sites, "mass": mass, "values": values}
 
@@ -45,12 +43,11 @@ def cone_section(sites, mass, time_steps, eps):
 
 
 def many_slices_section(sites, mass, eps, max_dt):
-    spec = lattice.LatticeSpec(sites, mass, max_dt + 2)
-    count = 0
-    for dt in range(1, max_dt + 1):
-        mags = [abs(lattice.pauli_jordan(spec, dx, float(dt))) for dx in range(sites // 2 + 1)]
-        if min(mags) < eps:
-            count += 1
+    table = lattice.commutator_table(lattice.LatticeSpec(sites, mass, max_dt + 2))
+    count = sum(
+        min(abs(table.value(dx, dt)) for dx in range(sites // 2 + 1)) < eps
+        for dt in range(1, max_dt + 1)
+    )
     return {"sites": sites, "mass": mass, "eps": eps, "maxDt": max_dt, "commutingSliceCount": count}
 
 
@@ -61,9 +58,8 @@ def _lattice_graph_section(sites, time_steps, mass, eps):
     slices = [
         frozenset(range(t * sites, (t + 1) * sites)) for t in range(time_steps)
     ]  # labels are laid out t-major
-    origin_mags = [
-        abs(lattice.pauli_jordan(spec, 0, float(dt))) for dt in range(1, time_steps)
-    ]
+    table = lattice.commutator_table(spec)
+    origin_mags = [abs(table.value(0, dt)) for dt in range(1, time_steps)]
     return {
         "sites": sites,
         "timeSteps": time_steps,

@@ -64,13 +64,6 @@ def _mode_tables(sites: int, mass: float):
     return momenta, omegas
 
 
-def dispersion(spec: LatticeSpec, mode_index: int) -> float:
-    """w = sqrt(m^2 + 4 sin^2(pi n / N))."""
-    if not 0 <= mode_index < spec.sites:
-        raise ValueError(f"mode index {mode_index} outside 0..{spec.sites - 1}")
-    return float(_mode_tables(spec.sites, spec.mass)[1][mode_index])
-
-
 def pauli_jordan(spec: LatticeSpec, dx: int, dt: float) -> float:
     """Commutator amplitude D(dx, dt); the operator commutator is i*D.
 

@@ -158,13 +158,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(np.kron(a.amplitudes, b.amplitudes))
 
 
-def amplitude(phi: StateVector, psi: StateVector) -> complex:
-    """<phi|psi>, conjugating phi."""
-    if phi.dimension != psi.dimension:
-        raise ValueError(f"dimension mismatch: {phi.dimension} vs {psi.dimension}")
-    return complex(np.vdot(phi.amplitudes, psi.amplitudes))
-
-
 def _check_dims(obs: Pvm, psi: StateVector) -> None:
     if obs.dimension != psi.dimension:
         raise ValueError(
@@ -212,19 +205,6 @@ def born_index(cumulative: np.ndarray, draws):
     total just below 1. Works on one draw or an array of them.
     """
     return np.minimum(np.searchsorted(cumulative, draws, side="right"), cumulative.size - 1)
-
-
-def _sample_with_rng(obs: Pvm, psi: StateVector, rng: np.random.Generator):
-    index = int(born_index(born_cumulative(obs, psi), rng.random()))
-    return index, collapse(obs, index, psi)
-
-
-def sample_outcome(obs: Pvm, psi: StateVector, seed: int):
-    """Draw one Born-distributed outcome; same seed, same outcome.
-
-    Returns (branch index, collapsed state).
-    """
-    return _sample_with_rng(obs, psi, np.random.default_rng(seed))
 
 
 def spin_projectors(axes) -> np.ndarray:

@@ -470,36 +470,44 @@ def _check_size(size, keys, what="observables", cap=topology.MAX_CLIQUE_VERTICES
 
 
 def _build_graph(params, base_dir):
-    """The scenario's commutation graph; its size is checked before it is built."""
+    """The scenario's commutation graph and the keys that set its size; the
+    size is checked before the graph is built."""
     source = params["source"]
     if source == "chain":
+        keys = "chainSlices * chainSliceSize"
         slices, slice_size = params["chainSlices"], params["chainSliceSize"]
-        _check_size(slices * slice_size, "chainSlices * chainSliceSize")
-        return topology.disjoint_clique_graph(slices, slice_size)
+        _check_size(slices * slice_size, keys)
+        return topology.disjoint_clique_graph(slices, slice_size), keys
     if source == "complete":
-        _check_size(params["completeSize"], "completeSize")
-        return topology.complete_graph(params["completeSize"])
+        keys = "completeSize"
+        _check_size(params["completeSize"], keys)
+        return topology.complete_graph(params["completeSize"]), keys
     if source == "lattice":
-        _check_size(params["sites"] * params["timeSteps"], "sites * timeSteps")
+        keys = "sites * timeSteps"
+        _check_size(params["sites"] * params["timeSteps"], keys)
         spec = lattice.LatticeSpec(
             params["sites"], params["mass"], params["timeSteps"], params["timeStep"]
         )
-        return lattice.commutation_graph(spec, params["eps"])
+        return lattice.commutation_graph(spec, params["eps"]), keys
     if params["file"] is None:
         raise ScenarioError("source = file needs the 'file' key")
     path = Path(params["file"])
     if base_dir is not None and not path.is_absolute():
         path = Path(base_dir) / path
     labels, edges = topology.parse_edge_list(path.read_text(encoding="utf-8"))
-    _check_size(len(labels), "the labels in 'file'")
-    return topology.CommutationGraph.from_edges(labels, edges)
+    keys = "the labels in 'file'"
+    _check_size(len(labels), keys)
+    return topology.CommutationGraph.from_edges(labels, edges), keys
 
 
 def _run_topology(params, *, seed, out, stem, base_dir):
-    graph = _build_graph(params, base_dir)
-    report = topology.topology_report(
-        graph, include_point_complements=params["includePointComplements"]
-    )
+    graph, keys = _build_graph(params, base_dir)
+    try:
+        report = topology.topology_report(
+            graph, include_point_complements=params["includePointComplements"]
+        )
+    except ResourceLimitError as err:
+        raise ResourceLimitError(f"{keys} gives {err}") from err
     top = report.topology
     json_path = f"{stem}_topology.json"
     emit_json(out / json_path, report.to_json_dict())

@@ -221,15 +221,9 @@ def points_of_m(g: CommutationGraph, variant: str = SUBFAMILY) -> PointSet:
     return PointSet(tuple(sorted(points, key=sorted)), variant, g.size)
 
 
-def points_commute(g: CommutationGraph, p, q) -> bool:
-    """Definition: every observable of p commutes with every one of q."""
-    rows = sorted(p)
-    cols = sorted(q)
-    return bool(g.adjacency[np.ix_(rows, cols)].all())
-
-
 def point_commutation(g: CommutationGraph, point_set: PointSet) -> np.ndarray:
-    """Boolean matrix: entry (i, j) is ``points_commute`` of points i and j.
+    """Boolean matrix: entry (i, j) is true when every observable of point i
+    commutes with every observable of point j.
 
     With M the point-membership matrix, points i and j fail to commute
     exactly when (M (1 - A) M^T)[i, j] counts some non-commuting pair.
@@ -238,14 +232,6 @@ def point_commutation(g: CommutationGraph, point_set: PointSet) -> np.ndarray:
     for i, p in enumerate(point_set.points):
         members[i, list(p)] = 1
     return members @ (1 - g.adjacency.astype(np.int64)) @ members.T == 0
-
-
-def commutant_neighborhood(g: CommutationGraph, point_set: PointSet, point_index: int):
-    """Indices of every point whose observables all commute with this one's."""
-    if not 0 <= point_index < len(point_set):
-        raise ValueError(f"point index {point_index} out of range")
-    row = point_commutation(g, point_set)[point_index]
-    return frozenset(np.flatnonzero(row).tolist())
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcausal import causal, scenarios
@@ -13,12 +13,10 @@ from qcausal.causal import (
     MAX_ADMISSIBLE,
     THREE_PARTY_EVENTS,
     CausalOrder,
-    CycleError,
     Event,
-    Orientation,
+    _check_events,
     boost,
     classical_order,
-    enforcement_edges,
     enumerate_admissible_orientations,
     free_pairs,
     interval,
@@ -40,11 +38,56 @@ def test_classical_order_examples():
     assert classical_order(lightlike).before("e", "f")
 
 
+def classical_by_pairs(events):
+    """Reference definition: ``interval`` of every ordered pair."""
+    events = _check_events(events)
+    n = len(events)
+    rel = np.zeros((n, n), dtype=bool)
+    for i, a in enumerate(events):
+        for j, b in enumerate(events):
+            rel[i, j] = b.t > a.t and interval(a, b) >= 0
+    return CausalOrder(tuple(e.id for e in events), rel)
+
+
+def relation_or_error(build, events):
+    try:
+        return build(events).relation.tolist()
+    except ValueError as err:
+        return str(err)
+
+
+@st.composite
+def coordinate_sets(draw):
+    """1-8 events in 1-10 spatial dimensions, with integer coordinates or
+    ones with 1-3 decimals, so that lightlike pairs and rounding ties occur."""
+    n, dims = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    decimals = draw(st.integers(0, 3))
+    coordinate = st.integers(-6 * 10**decimals, 6 * 10**decimals).map(
+        lambda k: float(k) if decimals == 0 else round(k / 10**decimals, decimals)
+    )
+    return tuple(
+        Event(f"e{i}", draw(coordinate), tuple(draw(coordinate) for _ in range(dims)))
+        for i in range(n)
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(coordinate_sets())
+# lightlike: dt and dx are the same float d = 4.159 + 6.0, and d ** 2 rounds above d * d
+@example((Event("a", -6.0, (-6.0,)), Event("b", 4.159, (4.159,))))
+def test_classical_order_matches_pairwise_intervals(events):
+    assert relation_or_error(classical_order, events) == relation_or_error(
+        classical_by_pairs, events
+    )
+
+
 def test_classical_order_rejects_duplicates_and_mixed_dims():
     with pytest.raises(ValueError, match="duplicate"):
         classical_order((Event("e", 0.0, (0.0,)), Event("e", 1.0, (0.0,))))
     with pytest.raises(ValueError, match="dimension"):
         classical_order((Event("e", 0.0, (0.0,)), Event("f", 1.0, (0.0, 0.0))))
+    with pytest.raises(ValueError, match="too large"):  # (1e200)^2 overflows
+        classical_order((Event("e", 0.0, (0.0,)), Event("f", 1e200, (5e199,))))
 
 
 def test_causal_order_validates_axioms():
@@ -73,40 +116,35 @@ def test_three_party_fixture_geometry():
     )
 
 
-def test_enforcement_edges_rules():
-    orientation = Orientation.from_pairs([("e1", "e2"), ("e1", "e3")])
-    edges = set(enforcement_edges(THREE_PARTY_EVENTS, orientation))
-    assert edges == {("e1", "e2"), ("e1", "e3"), ("e2", "e3")}  # one edge forced
-
-    with pytest.raises(ValueError, match="missing"):
-        enforcement_edges(THREE_PARTY_EVENTS, Orientation.from_pairs([("e1", "e2")]))
-
-    contradicting = Orientation.from_pairs([("e1", "e2"), ("e1", "e3"), ("e3", "e2")])
-    with pytest.raises(ValueError, match="contradicts"):
-        enforcement_edges(THREE_PARTY_EVENTS, contradicting)
-
-
 def test_quantum_order_admissible_orientations():
-    order = quantum_order(
-        THREE_PARTY_EVENTS, Orientation.from_pairs([("e1", "e2"), ("e1", "e3")])
-    )
+    order = quantum_order(THREE_PARTY_EVENTS, [("e1", "e2"), ("e1", "e3")])
     assert order.before("e1", "e3")
 
-    reverse = quantum_order(
-        THREE_PARTY_EVENTS, Orientation.from_pairs([("e2", "e1"), ("e3", "e1")])
-    )
+    reverse = quantum_order(THREE_PARTY_EVENTS, [("e2", "e1"), ("e3", "e1")])
     assert reverse.before("e3", "e1")
     classical = classical_order(THREE_PARTY_EVENTS)
     assert reverse.contains(classical)
     assert len(reverse.pairs()) > len(classical.pairs())
 
 
+def test_quantum_order_rejects_malformed_orientations():
+    # e2 -> e3 is classical; e1-e2 and e1-e3 are the free pairs
+    cases = [
+        ([("e1", "e2")], r"no direction for free pair \('e1', 'e3'\)"),
+        ([("e1", "e2"), ("e1", "e3"), ("e2", "e3")], r"\('e2', 'e3'\) is not a free pair"),
+        ([("e1", "e2"), ("e1", "e3"), ("e3", "e1")], r"free pair \('e1', 'e3'\) given twice"),
+        ([("e1", "e2"), ("e1", "e3"), ("e1", "e1")], r"\('e1', 'e1'\) is not a free pair"),
+        ([("e1", "e2"), ("e1", "x")], r"\('e1', 'x'\) is not a free pair"),
+    ]
+    for directed, message in cases:
+        with pytest.raises(ValueError, match=message):
+            quantum_order(THREE_PARTY_EVENTS, directed)
+
+
 def test_quantum_order_cycle_is_rejected_with_witness():
-    with pytest.raises(CycleError) as info:
-        quantum_order(
-            THREE_PARTY_EVENTS, Orientation.from_pairs([("e1", "e2"), ("e3", "e1")])
-        )
-    assert set(info.value.cycle) == {"e1", "e2", "e3"}
+    # with the classical e2 -> e3, e1 -> e2 and e3 -> e1 close e1 e2 e3
+    with pytest.raises(ValueError, match="causal cycle through e1, e2, e3$"):
+        quantum_order(THREE_PARTY_EVENTS, [("e1", "e2"), ("e3", "e1")])
 
 
 def test_enumeration_on_three_party_fixture():
@@ -153,9 +191,7 @@ def test_strict_extension_check_edges():
     classical = classical_order(THREE_PARTY_EVENTS)
     assert not strict_extension_check(classical, classical).holds
 
-    order = quantum_order(
-        THREE_PARTY_EVENTS, Orientation.from_pairs([("e1", "e2"), ("e1", "e3")])
-    )
+    order = quantum_order(THREE_PARTY_EVENTS, [("e1", "e2"), ("e1", "e3")])
     verdict = strict_extension_check(classical, order)
     assert verdict.holds and "e1" in verdict.witness
 
@@ -279,13 +315,6 @@ def test_hasse_edges_drop_transitive_links():
     assert order.to_adjacency_dict() == {"a": ["b", "c"], "b": ["c"], "c": []}
 
 
-def test_orientation_validation():
-    with pytest.raises(ValueError, match="inconsistent"):
-        Orientation({frozenset({"a", "b"}): ("a", "c")})
-    with pytest.raises(ValueError, match="inconsistent"):
-        Orientation({frozenset({"a"}): ("a", "a")})
-
-
 def _brute_force(events, policy):
     """Every orientation the policy allows, each checked by quantum_order."""
     free = sorted(free_pairs(events), key=sorted)
@@ -314,15 +343,15 @@ def _brute_force(events, policy):
             )
     admissible = []
     for index, directed in enumerate(candidates):
-        orientation = Orientation.from_pairs(directed)
         try:
-            admissible.append((index, orientation, quantum_order(events, orientation)))
-        except CycleError:
-            continue
+            admissible.append((index, quantum_order(events, directed)))
+        except ValueError as err:
+            if "causal cycle" not in str(err):
+                raise
     comparability = {}
     if admissible:
         for a, b in itertools.combinations(sorted(e.id for e in events), 2):
-            hits = sum(order.comparable(a, b) for _, _, order in admissible)
+            hits = sum(order.comparable(a, b) for _, order in admissible)
             comparability[frozenset((a, b))] = (
                 "all" if hits == len(admissible) else "some" if hits else "none"
             )
@@ -346,9 +375,9 @@ def test_search_matches_brute_force(events, policy):
     summary = enumerate_admissible_orientations(events, policy)
     assert summary.free_pairs == free
     assert summary.orientation_count == count
-    assert summary.indices == tuple(index for index, _, _ in admissible)
+    assert summary.indices == tuple(index for index, _ in admissible)
     assert summary.relations.shape == (len(admissible), len(events), len(events))
-    for relation, (_, _, order) in zip(summary.relations, admissible):
+    for relation, (_, order) in zip(summary.relations, admissible):
         assert np.array_equal(relation, order.relation)
     assert summary.comparability == comparability
 

@@ -30,9 +30,10 @@ from qcausal.quantum import (
     PAULI_Y,
     PAULI_Z,
     StateVector,
-    _sample_with_rng,
-    amplitude,
     basis_state,
+    born_cumulative,
+    born_index,
+    collapse,
     embed_pvm,
     spin_pvm,
 )
@@ -55,7 +56,7 @@ def test_bell_state_amplitudes_and_norm():
     phi = bell_phi_plus()
     assert abs(np.linalg.norm(phi.amplitudes) - 1.0) <= 1e-12
     assert np.allclose(phi.amplitudes, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)], atol=1e-15)
-    assert amplitude(basis_state(4, 1), phi) == 0.0
+    assert np.vdot(basis_state(4, 1).amplitudes, phi.amplitudes) == 0.0
 
 
 def test_bell_state_zz_distribution():
@@ -272,6 +273,12 @@ def test_epr_orthogonal_axes_agreement_half():
 def test_epr_rejects_zero_trials():
     with pytest.raises(ValueError):
         epr_consistency(Z_AXIS, 0, seed=1)
+
+
+def _sample_with_rng(obs, psi, rng):
+    """Reference definition of one draw: a Born index, then the collapse."""
+    index = int(born_index(born_cumulative(obs, psi), rng.random()))
+    return index, collapse(obs, index, psi)
 
 
 def epr_per_trial(axis, trials, seed, axis_b=None):

@@ -15,7 +15,6 @@ from qcausal.lattice import (
     commutation_graph,
     commutator_table,
     cone_profile,
-    dispersion,
     pauli_jordan,
 )
 
@@ -48,12 +47,11 @@ def test_spec_rejects_non_finite_mass_and_time_step(args):
 
 
 def test_dispersion_endpoints_and_symmetry():
-    assert dispersion(SPEC64, 0) == 1.0
-    assert abs(dispersion(SPEC64, 32) - math.sqrt(5.0)) <= 1e-12
+    _, omegas = lattice._mode_tables(SPEC64.sites, SPEC64.mass)
+    assert len(omegas) == 64 and omegas[0] == 1.0
+    assert abs(omegas[32] - math.sqrt(5.0)) <= 1e-12
     for n in range(1, 32):
-        assert abs(dispersion(SPEC64, n) - dispersion(SPEC64, 64 - n)) <= 1e-12
-    with pytest.raises(ValueError):
-        dispersion(SPEC64, 64)
+        assert abs(omegas[n] - omegas[64 - n]) <= 1e-12
 
 
 def test_equal_time_commutator_vanishes():

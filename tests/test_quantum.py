@@ -9,13 +9,13 @@ from qcausal.quantum import (
     Pvm,
     StateVector,
     UnitaryOp,
-    amplitude,
     apply_unitary,
     basis_state,
+    born_cumulative,
+    born_index,
     collapse,
     embed_pvm,
     measure_probabilities,
-    sample_outcome,
     spin_projectors,
     spin_pvm,
     tensor,
@@ -58,22 +58,6 @@ def test_tensor_preserves_norm():
     for _ in range(20):
         out = tensor(random_state(rng, 4), random_state(rng, 8))
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
-
-
-def test_amplitude_normalization_and_orthogonality():
-    assert amplitude(UP, UP) == 1.0
-    assert amplitude(UP, DOWN) == 0.0
-    assert abs(amplitude(PLUS, UP) - 1 / math.sqrt(2)) <= 1e-15
-
-
-def test_amplitude_conjugates_first_argument():
-    phased = StateVector.normalized([1j, 0])
-    assert abs(amplitude(phased, UP) - (-1j)) <= 1e-15
-
-
-def test_amplitude_dimension_mismatch():
-    with pytest.raises(ValueError):
-        amplitude(UP, basis_state(4, 0))
 
 
 def test_measure_eigenstate():
@@ -152,7 +136,8 @@ def test_apply_unitary_preserves_norm_and_inner_products():
         a, b = random_state(rng, 8), random_state(rng, 8)
         ua, ub = apply_unitary(u, a), apply_unitary(u, b)
         assert abs(np.linalg.norm(ua.amplitudes) - 1.0) <= 1e-12
-        assert abs(amplitude(ua, ub) - amplitude(a, b)) <= 1e-10
+        inner = np.vdot(ua.amplitudes, ub.amplitudes)
+        assert abs(inner - np.vdot(a.amplitudes, b.amplitudes)) <= 1e-10
 
 
 def test_non_unitary_rejected():
@@ -168,30 +153,25 @@ def test_apply_unitary_dimension_mismatch():
 def test_interference_differs_from_classical_mixture():
     # |Psi> = (|u> + |d>)/sqrt2 against |Phi> = same state: amplitude-sum
     # probability is 1, the probability-sum rule would give 1/2.
-    prob_amplitude_rule = abs(amplitude(PLUS, PLUS)) ** 2
-    classical = 0.5 * abs(amplitude(PLUS, UP)) ** 2 + 0.5 * abs(amplitude(PLUS, DOWN)) ** 2
+    def overlap(phi, psi):
+        return abs(np.vdot(phi.amplitudes, psi.amplitudes)) ** 2
+
+    prob_amplitude_rule = overlap(PLUS, PLUS)
+    classical = 0.5 * overlap(PLUS, UP) + 0.5 * overlap(PLUS, DOWN)
     assert abs(prob_amplitude_rule - 1.0) <= 1e-12
     assert abs(classical - 0.5) <= 1e-12
     assert abs(prob_amplitude_rule - classical) > 0.4
 
 
 def test_sample_outcome_deterministic_branch():
-    for seed in (0, 1, 99, 2**40):
-        index, state = sample_outcome(Z, UP, seed)
-        assert index == 0
-        assert np.array_equal(state.amplitudes, UP.amplitudes)
-
-
-def test_sample_outcome_repeatable():
-    for seed in range(5):
-        first = sample_outcome(Z, PLUS, seed)
-        second = sample_outcome(Z, PLUS, seed)
-        assert first[0] == second[0]
-        assert np.array_equal(first[1].amplitudes, second[1].amplitudes)
+    draws = [np.random.default_rng(seed).random() for seed in (0, 1, 99, 2**40)]
+    assert born_index(born_cumulative(Z, UP), draws).tolist() == [0, 0, 0, 0]
+    assert np.array_equal(collapse(Z, 0, UP).amplitudes, UP.amplitudes)
 
 
 def test_sample_outcome_frequency():
-    hits = sum(sample_outcome(Z, PLUS, seed)[0] for seed in range(100_000))
+    draws = [np.random.default_rng(seed).random() for seed in range(100_000)]
+    hits = born_index(born_cumulative(Z, PLUS), draws).sum()
     assert abs(hits / 100_000 - 0.5) <= 0.01
 
 

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -544,3 +546,27 @@ def test_regen_fixtures_matches_golden(tmp_path, capsys):
     regenerated = json.loads((tmp_path / "golden.json").read_text())
     assert regenerated["status"] == "UNVERIFIED"
     assert list(_oracle_mismatches(load_golden(), regenerated)) == []
+
+
+def test_oracle_verifies_the_packaged_golden_file(tmp_path):
+    """The oracle runs isolated (-I) from outside the repo, so neither src/
+    nor the working directory is on its path and it cannot import the
+    package it checks (unless that is installed into site-packages)."""
+    committed = REPO_ROOT / "src" / "qcausal" / "data" / "golden.json"
+    copy = tmp_path / "golden.json"
+    copy.write_bytes(committed.read_bytes())
+    oracle = REPO_ROOT / "scripts" / "verify_fixtures.py"
+    done = subprocess.run([sys.executable, "-I", str(oracle), "verify", str(copy)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.strip().endswith(": VERIFIED")
+    assert copy.read_bytes() == committed.read_bytes()
+
+
+def test_clique_cap_error_names_the_size_keys(tmp_path, monkeypatch, capsys):
+    import qcausal.topology
+
+    monkeypatch.setattr(qcausal.topology, "CLIQUE_CAP", 10)  # the 8x4 lattice has 76 cliques
+    out = tmp_path / "out"
+    assert main(["run", str(SCENARIO_DIR / "topology_lattice.scn"), "--out", str(out)]) == 1
+    assert "sites * timeSteps gives more than 10 maximal cliques" in capsys.readouterr().err

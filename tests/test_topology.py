@@ -19,7 +19,6 @@ from qcausal.topology import (
     CommutationGraph,
     PointSet,
     ResourceLimitError,
-    commutant_neighborhood,
     complete_graph,
     disjoint_clique_graph,
     generate_topology,
@@ -27,7 +26,6 @@ from qcausal.topology import (
     parse_edge_list,
     point_commutation,
     points_of_m,
-    points_commute,
     topology_report,
 )
 
@@ -192,6 +190,11 @@ def clique_intersections(g, cliques):
     return {frozenset.intersection(*[c for c in cliques if v in c]) for v in range(g.size)}
 
 
+def points_commute(g, p, q):
+    """Definition: every observable of p commutes with every one of q."""
+    return bool(g.adjacency[np.ix_(sorted(p), sorted(q))].all())
+
+
 def closure_points(g):
     """Minimal sets of the maximal cliques' intersection closure (reference)."""
     family = set(maximal_cliques(g))
@@ -251,20 +254,17 @@ def test_point_set_validation():
 
 
 def test_neighborhoods_disjoint_and_complete():
-    chain = disjoint_clique_graph(3, 2)
-    points = points_of_m(chain)
-    for index in range(len(points)):
-        assert commutant_neighborhood(chain, points, index) == frozenset({index})
-    comp = complete_graph(4)
-    comp_points = points_of_m(comp)
-    assert commutant_neighborhood(comp, comp_points, 0) == frozenset({0})
+    chain = topology_report(disjoint_clique_graph(3, 2))
+    assert chain.neighborhoods == tuple(frozenset({i}) for i in range(len(chain.points_subfamily)))
+    assert topology_report(complete_graph(4)).neighborhoods == (frozenset({0}),)
 
 
 def test_lattice_neighborhood_matches_commutator_table():
     spec = LatticeSpec(8, 1.0, 4)
     eps = 1e-3
     g = commutation_graph(spec, eps)
-    points = points_of_m(g)
+    report = topology_report(g)
+    points = report.points_subfamily
     # on this instance every point is a single spacetime vertex
     assert all(len(p) == 1 for p in points.points)
     vertex_of = {i: next(iter(p)) for i, p in enumerate(points.points)}
@@ -275,7 +275,7 @@ def test_lattice_neighborhood_matches_commutator_table():
         return int(x), int(t)
 
     for i in range(len(points)):
-        neighborhood = commutant_neighborhood(g, points, i)
+        neighborhood = report.neighborhoods[i]
         xi, ti = coords(vertex_of[i])
         for j in range(len(points)):
             xj, tj = coords(vertex_of[j])
