@@ -127,12 +127,25 @@ def test_quantum_order_admissible_orientations():
     assert len(reverse.pairs()) > len(classical.pairs())
 
 
-def test_quantum_order_rejects_malformed_orientations():
+def test_enforcement_edges_rules():
     # e2 -> e3 is classical; e1-e2 and e1-e3 are the free pairs
+    order = quantum_order(THREE_PARTY_EVENTS, [("e1", "e2"), ("e1", "e3")])
+    assert set(order.pairs()) == {("e1", "e2"), ("e1", "e3"), ("e2", "e3")}
+
     cases = [
         ([("e1", "e2")], r"no direction for free pair \('e1', 'e3'\)"),
         ([("e1", "e2"), ("e1", "e3"), ("e2", "e3")], r"\('e2', 'e3'\) is not a free pair"),
+        ([("e1", "e2"), ("e1", "e3"), ("e3", "e2")], r"\('e3', 'e2'\) is not a free pair"),
         ([("e1", "e2"), ("e1", "e3"), ("e3", "e1")], r"free pair \('e1', 'e3'\) given twice"),
+    ]
+    for directed, message in cases:
+        with pytest.raises(ValueError, match=message):
+            quantum_order(THREE_PARTY_EVENTS, directed)
+
+
+def test_orientation_validation():
+    # a directed entry must be a free pair of two distinct known events
+    cases = [
         ([("e1", "e2"), ("e1", "e3"), ("e1", "e1")], r"\('e1', 'e1'\) is not a free pair"),
         ([("e1", "e2"), ("e1", "x")], r"\('e1', 'x'\) is not a free pair"),
     ]
