@@ -26,9 +26,9 @@ _NAMES = {
         ResourceLimitError TopologyReport complete_graph
         disjoint_clique_graph generate_topology maximal_cliques parse_edge_list
         point_commutation points_of_m topology_report""",
-    "causal": """THREE_PARTY_EVENTS CausalOrder Event ExtensionVerdict OrientationSummary
-        boost classical_order enumerate_admissible_orientations quantum_order
-        strict_extension_check""",
+    "causal": """THREE_PARTY_EVENTS CausalOrder Event OrientationSummary boost
+        classical_order enumerate_admissible_orientations extension_masks
+        quantum_order""",
 }
 _HOME = {name: layer for layer, names in _NAMES.items() for name in names.split()}
 

@@ -16,6 +16,8 @@ topological order, so every surviving branch reaches an admissible leaf.
 One group of n pairwise-spacelike events has n! of them (Stanley, Discrete
 Math. 5 (1973) 171). ``orientation_count`` is the number of orientations
 the policy allows: 2^free for ``all``, 2^ties for ``earliest-first``.
+``extension_masks`` decides the paper's claim for each admissible order: it
+holds every classical pair and orders at least one more.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class Event:
 def interval(a: Event, b: Event) -> float:
     """(t_b - t_a)^2 - |x_b - x_a|^2."""
     dt = b.t - a.t
-    return dt * dt - sum((p - q) ** 2 for p, q in zip(b.x, a.x))
+    return dt * dt - sum((p - q) * (p - q) for p, q in zip(b.x, a.x))
 
 
 def _check_events(events):
@@ -125,11 +127,6 @@ class CausalOrder:
             if self.relation[i, j]
         )
 
-    def contains(self, other: "CausalOrder") -> bool:
-        if self.ids != other.ids:
-            raise ValueError("orders are over different event sets")
-        return bool((self.relation | other.relation == self.relation).all())
-
     def to_adjacency_dict(self) -> dict:
         order = np.argsort(np.array(self.ids))
         return {
@@ -148,10 +145,8 @@ def classical_order(events) -> CausalOrder:
     """e before f iff t_f > t_e and the interval is causal (>= 0).
 
     Entry (i, j) repeats ``interval``'s float operations in its order, so
-    the relation is bit for bit the per-pair definition's. Python's ``**``
-    is the C library's pow, which can differ from d * d in the last bit,
-    so the squares come from ``np.float_power`` (also pow), not ``**``.
-    Coordinates whose interval overflows raise ValueError.
+    the relation is bit for bit the per-pair definition's. Coordinates
+    whose interval overflows raise ValueError.
     """
     events = _check_events(events)
     coords = np.array([(e.t, *e.x) for e in events])
@@ -159,7 +154,7 @@ def classical_order(events) -> CausalOrder:
         with np.errstate(over="raise", invalid="ignore"):  # NaN compares false, as in Python
             d = coords - coords[:, None]  # d[i, j]: event j minus event i, time first
             dt = d[:, :, 0]
-            spatial = sum(np.float_power(d[:, :, k], 2) for k in range(1, coords.shape[1]))
+            spatial = sum(d[:, :, k] * d[:, :, k] for k in range(1, coords.shape[1]))
             rel = dt * dt - spatial >= 0
     except FloatingPointError as err:
         raise ValueError(f"event coordinates too large for the interval ({err})") from None
@@ -251,12 +246,11 @@ class OrientationSummary:
 def enumerate_admissible_orientations(events, policy="all") -> OrientationSummary:
     """Every admissible orientation of the free pairs that the policy allows.
 
-    ``all`` lets each free pair go either way, and bit k of the index
-    reverses the k-th sorted free pair. ``earliest-first`` directs a pair
-    from its earlier event and lets only time ties go either way; the index
-    counts tie choices in ``itertools.product`` order, first tie most
-    significant. Results come in index order, with each event pair's
-    comparability over them: in every admissible order, in some, or in none.
+    ``all`` lets each free pair go either way; ``earliest-first`` directs a
+    pair from its earlier event and lets only time ties go either way. Bit
+    k of the index reverses the k-th sorted free pair that may go either
+    way. Results come in index order, with each event pair's comparability
+    over them: in every admissible order, in some, or in none.
     """
     if policy not in ("all", "earliest-first"):
         raise ValueError(f"unknown orientation policy {policy!r}")
@@ -281,8 +275,7 @@ def enumerate_admissible_orientations(events, policy="all") -> OrientationSummar
             branching.append((a, b))
         else:
             reach = closed_with(reach, *((a, b) if t[a] < t[b] else (b, a)))
-    if policy == "all":
-        branching.reverse()  # the last free pair's bit is the most significant
+    branching.reverse()  # the last branching pair's bit is the most significant
     # Most significant pair first, so the indices come out in order.
     m = len(branching)
     levels = [(a, b, 1 << (m - 1 - i)) for i, (a, b) in enumerate(branching)]
@@ -318,34 +311,17 @@ def enumerate_admissible_orientations(events, policy="all") -> OrientationSummar
     return OrientationSummary(classical, free, tuple(indices), relations, comparability, 2**m)
 
 
-@dataclass(frozen=True)
-class ExtensionVerdict:
-    holds: bool
-    witness: tuple | None
-    containment_violation: tuple | None
-
-
-def strict_extension_check(classical: CausalOrder, quantum: CausalOrder) -> ExtensionVerdict:
-    """True iff quantum contains classical and orders at least one new pair."""
-    if classical.ids != quantum.ids:
-        raise ValueError("orders are over different event sets")
-    # With both relations in sorted-id order, the first row-major hit of a
-    # difference is its lexicographically first (before, after) pair.
-    ids = classical.ids
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    c, q = (o.relation[order][:, order] for o in (classical, quantum))
-
-    def first(mask):
-        if not mask.any():
-            return None
-        i, j = divmod(int(mask.argmax()), len(ids))
-        return (ids[order[i]], ids[order[j]])
-
-    missing = first(c & ~q)
-    if missing is not None:
-        return ExtensionVerdict(False, None, missing)
-    extra = first(q & ~c)
-    return ExtensionVerdict(extra is not None, extra, None)
+def extension_masks(classical: CausalOrder, relations):
+    """Per relation (one (n, n) relation or a stack, in ``classical.ids``
+    order): does it hold every classical pair, and does it order a pair the
+    classical order leaves open? A strict extension does both."""
+    relations = np.asarray(relations, dtype=bool)
+    c = classical.relation
+    if relations.shape[-2:] != c.shape:
+        raise ValueError(f"relations are not over the {len(c)} classical events")
+    contains = ~(c & ~relations).any(axis=(-2, -1))
+    strengthens = (relations & ~(c | c.T)).any(axis=(-2, -1))
+    return contains, strengthens
 
 
 THREE_PARTY_EVENTS = (

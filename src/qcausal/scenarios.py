@@ -560,22 +560,19 @@ def _run_order(params, *, seed, out, stem, base_dir):
     )
     artifacts.append(f"{stem}_summary.json")
 
-    # Per admissible order: does it miss a classical pair, does it add one?
-    relations, c = summary.relations, summary.classical.relation
-    missing = (c & ~relations).any(axis=(1, 2))
-    extra = (relations & ~c).any(axis=(1, 2))
+    contains, strengthens = causal.extension_masks(summary.classical, summary.relations)
     metrics = {
         "eventCount": len(events),
         "freePairCount": len(summary.free_pairs),
         "orientationCount": summary.orientation_count,
         "admissibleCount": summary.admissible_count,
     }
-    verdicts = {"containsClassical": not missing.any()}
+    verdicts = {"containsClassical": bool(contains.all())}
     if params["witnessPair"] is not None:
         pair = frozenset(params["witnessPair"])
         verdicts["witnessComparable"] = summary.comparability.get(pair) == "all"
     if params["expectStrengthened"] is not None:
-        strengthened = bool(summary.indices) and bool((extra & ~missing).all())
+        strengthened = bool(summary.indices) and bool((contains & strengthens).all())
         verdicts["strengthened"] = strengthened == params["expectStrengthened"]
     if params["expectAdmissible"] is not None:
         verdicts["admissibleCountMatches"] = summary.admissible_count == params["expectAdmissible"]

@@ -1,3 +1,5 @@
+import functools
+import importlib.util
 import itertools
 import math
 import tempfile
@@ -18,12 +20,14 @@ from qcausal.causal import (
     boost,
     classical_order,
     enumerate_admissible_orientations,
+    extension_masks,
     free_pairs,
     interval,
     quantum_order,
-    strict_extension_check,
 )
 from qcausal.topology import ResourceLimitError
+
+ORACLE = Path(__file__).resolve().parent.parent / "scripts" / "verify_fixtures.py"
 
 
 def test_classical_order_examples():
@@ -73,12 +77,21 @@ def coordinate_sets(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(coordinate_sets())
-# lightlike: dt and dx are the same float d = 4.159 + 6.0, and d ** 2 rounds above d * d
+# lightlike: dt and dx are the same float d = 4.159 + 6.0, and d ** 2 (pow) rounds above d * d
 @example((Event("a", -6.0, (-6.0,)), Event("b", 4.159, (4.159,))))
 def test_classical_order_matches_pairwise_intervals(events):
     assert relation_or_error(classical_order, events) == relation_or_error(
         classical_by_pairs, events
     )
+
+
+@given(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150))
+def test_equal_time_and_space_differences_are_lightlike(a, b):
+    assume(a != b)
+    a, b = sorted((a, b))
+    first, second = Event("a", a, (a,)), Event("b", b, (b,))
+    assert interval(first, second) == 0.0
+    assert classical_order((first, second)).before("a", "b")
 
 
 def test_classical_order_rejects_duplicates_and_mixed_dims():
@@ -122,9 +135,8 @@ def test_quantum_order_admissible_orientations():
 
     reverse = quantum_order(THREE_PARTY_EVENTS, [("e2", "e1"), ("e3", "e1")])
     assert reverse.before("e3", "e1")
-    classical = classical_order(THREE_PARTY_EVENTS)
-    assert reverse.contains(classical)
-    assert len(reverse.pairs()) > len(classical.pairs())
+    contains, strengthens = extension_masks(classical_order(THREE_PARTY_EVENTS), reverse.relation)
+    assert contains and strengthens
 
 
 def test_enforcement_edges_rules():
@@ -165,9 +177,8 @@ def test_enumeration_on_three_party_fixture():
     assert summary.orientation_count == 4
     assert summary.admissible_count == 3
     assert summary.comparability[frozenset({"e1", "e3"})] == "all"
-    for k in range(summary.admissible_count):
-        verdict = strict_extension_check(summary.classical, summary.order(k))
-        assert verdict.holds and verdict.witness is not None
+    contains, strengthens = extension_masks(summary.classical, summary.relations)
+    assert contains.tolist() == strengthens.tolist() == [True] * 3
 
 
 def test_enumeration_without_free_pairs_reduces_to_classical():
@@ -200,34 +211,29 @@ def test_enumeration_admissible_cap():
         enumerate_admissible_orientations(crowd, "earliest-first")
 
 
-def test_strict_extension_check_edges():
+def test_extension_masks_edges():
     classical = classical_order(THREE_PARTY_EVENTS)
-    assert not strict_extension_check(classical, classical).holds
-
     order = quantum_order(THREE_PARTY_EVENTS, [("e1", "e2"), ("e1", "e3")])
-    verdict = strict_extension_check(classical, order)
-    assert verdict.holds and "e1" in verdict.witness
+    smaller = np.zeros((3, 3), dtype=bool)  # drops the classical e2 -> e3
+    contains, strengthens = extension_masks(
+        classical, np.stack([classical.relation, order.relation, smaller])
+    )
+    assert contains.tolist() == [True, True, False]
+    assert strengthens.tolist() == [False, True, False]
+    assert extension_masks(classical, order.relation) == (True, True)
+    # a (1, 1) relation would broadcast against the (3, 3) classical one
+    for shape in ((1, 1), (2, 3, 3, 1), (3,)):
+        with pytest.raises(ValueError, match="not over the 3 classical events"):
+            extension_masks(classical, np.zeros(shape, dtype=bool))
 
-    smaller = CausalOrder(classical.ids, np.zeros((3, 3), dtype=bool))
-    violation = strict_extension_check(classical, smaller)
-    assert not violation.holds and violation.containment_violation == ("e2", "e3")
 
-    other = classical_order((Event("x", 0.0, (0.0,)),))
-    with pytest.raises(ValueError, match="different event sets"):
-        strict_extension_check(classical, other)
-
-
-def strict_extension_by_pairs(classical, quantum):
-    """Reference definition: sorted set differences of the ordered pairs."""
+def extension_by_pairs(classical, quantum):
+    """Reference definition by set differences of the ordered pairs: does
+    quantum hold every classical pair, and order a pair classical leaves open?"""
     classical_pairs = set(classical.pairs())
     quantum_pairs = set(quantum.pairs())
-    missing = sorted(classical_pairs - quantum_pairs)
-    if missing:
-        return causal.ExtensionVerdict(False, None, missing[0])
-    extra = sorted(quantum_pairs - classical_pairs)
-    if not extra:
-        return causal.ExtensionVerdict(False, None, None)
-    return causal.ExtensionVerdict(True, extra[0], None)
+    open_pairs = quantum_pairs - classical_pairs - {(b, a) for a, b in classical_pairs}
+    return not classical_pairs - quantum_pairs, bool(open_pairs)
 
 
 def transitive_closure(n, edges):
@@ -260,14 +266,15 @@ def order_pairs(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(pair=order_pairs())
-def test_strict_extension_check_matches_pairs_reference(pair):
+def test_extension_masks_match_pairs_reference(pair):
     classical, quantum = pair
-    assert strict_extension_check(classical, quantum) == strict_extension_by_pairs(
-        classical, quantum
-    )
-    assert strict_extension_check(classical, classical) == strict_extension_by_pairs(
-        classical, classical
-    )
+    others = (quantum, classical)
+    expected = [extension_by_pairs(classical, other) for other in others]
+    for other, masks in zip(others, expected):
+        assert extension_masks(classical, other.relation) == masks
+    stack = np.stack([other.relation for other in others])
+    contains, strengthens = extension_masks(classical, stack)
+    assert list(zip(contains.tolist(), strengthens.tolist())) == expected
 
 
 def test_causal_order_rejects_duplicate_ids():
@@ -332,28 +339,19 @@ def _brute_force(events, policy):
     """Every orientation the policy allows, each checked by quantum_order."""
     free = sorted(free_pairs(events), key=sorted)
     t = {e.id: e.t for e in events}
-    candidates = []
-    if policy == "all":
-        for index in range(2 ** len(free)):
-            directed = []
-            for bit, pair in enumerate(free):
-                a, b = sorted(pair)
-                directed.append((b, a) if index >> bit & 1 else (a, b))
-            candidates.append(directed)
-    else:
-        fixed, tied = [], []
-        for pair in free:
-            a, b = sorted(pair)
-            if t[a] < t[b]:
-                fixed.append((a, b))
-            elif t[b] < t[a]:
-                fixed.append((b, a))
-            else:
-                tied.append((a, b))
-        for flips in itertools.product((False, True), repeat=len(tied)):
-            candidates.append(
-                fixed + [(b, a) if flip else (a, b) for (a, b), flip in zip(tied, flips)]
-            )
+    fixed, either = [], []  # earliest-first lets only time ties go either way
+    for pair in free:
+        a, b = sorted(pair)
+        if policy == "earliest-first" and t[a] < t[b]:
+            fixed.append((a, b))
+        elif policy == "earliest-first" and t[b] < t[a]:
+            fixed.append((b, a))
+        else:
+            either.append((a, b))
+    candidates = [
+        fixed + [(b, a) if index >> bit & 1 else (a, b) for bit, (a, b) in enumerate(either)]
+        for index in range(2 ** len(either))
+    ]
     admissible = []
     for index, directed in enumerate(candidates):
         try:
@@ -372,8 +370,8 @@ def _brute_force(events, policy):
 
 
 @st.composite
-def event_sets(draw):
-    n = draw(st.integers(1, 7))
+def event_sets(draw, max_events=7):
+    n = draw(st.integers(1, max_events))
     t = st.integers(0, 2).map(float)  # few times: many ties
     x = st.integers(-6, 6).map(float)
     group = st.sampled_from([None, "g", "h"])
@@ -393,6 +391,46 @@ def test_search_matches_brute_force(events, policy):
     for relation, (_, order) in zip(summary.relations, admissible):
         assert np.array_equal(relation, order.relation)
     assert summary.comparability == comparability
+
+
+@functools.cache
+def oracle():
+    """The fixture oracle, loaded by path: it imports nothing from the package."""
+    spec = importlib.util.spec_from_file_location("verify_fixtures", ORACLE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@settings(deadline=None, max_examples=200)
+@given(event_sets(max_events=6), st.data())
+def test_search_matches_the_oracle(events, data):
+    # integer coordinates, so the oracle's ** and the engine's d * d agree
+    assume(len(free_pairs(events)) <= 8)
+    as_dicts = [{"id": e.id, "t": e.t, "x": list(e.x), "group": e.group} for e in events]
+    ids = sorted(e.id for e in events)
+    witness = (data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids)))
+    section = oracle().order_section(as_dicts, witness)
+    classical, free, closures = oracle().admissible_orders(as_dicts)
+    summary = enumerate_admissible_orientations(events, "all")
+    assert set(summary.free_pairs) == {frozenset(pair) for pair in free}
+    assert (len(summary.free_pairs), summary.orientation_count, summary.admissible_count) == (
+        section["freePairCount"],
+        section["orientationCount"],
+        section["admissibleCount"],
+    )
+    assert section["witnessComparableInAll"] == (
+        summary.comparability.get(frozenset(witness)) == "all"
+    )
+    comparability = {}
+    for a, b in itertools.combinations(ids, 2):
+        hits = sum((a, b) in c or (b, a) in c for c in closures)
+        comparability[frozenset((a, b))] = (
+            "all" if hits == len(closures) else "some" if hits else "none"
+        )
+    assert summary.comparability == comparability
+    contains, strengthens = extension_masks(summary.classical, summary.relations)
+    assert bool((contains & strengthens).all()) == all(classical < c for c in closures)
 
 
 def frame_results(summary):
@@ -453,6 +491,17 @@ def test_one_spacelike_group_has_factorial_admissible(n):
         assert summary.orientation_count == 2**pairs
         assert summary.admissible_count == math.factorial(n)
         assert list(summary.comparability.values()) == ["all"] * pairs
+
+
+def test_earliest_first_index_bits_reverse_the_sorted_ties():
+    # every pair is a time tie, so both policies branch on the same six sorted pairs
+    events = tuple(Event(f"e{i}", 0.0, (x,), "g") for i, x in enumerate((0.0, 3.0, 1.0, 2.0)))
+    summary = enumerate_admissible_orientations(events, "earliest-first")
+    assert (summary.orientation_count, summary.admissible_count) == (64, 24)
+    assert summary.indices == (
+        0, 1, 3, 7, 8, 10, 11, 15, 24, 26, 30, 31, 32, 33, 37, 39, 48, 52, 53, 55, 56, 60, 62, 63
+    )
+    assert summary.indices == enumerate_admissible_orientations(events, "all").indices
 
 
 def test_search_builds_no_order_one_orientation_at_a_time(monkeypatch):
@@ -545,15 +594,45 @@ def test_order_run_verdicts_equal_per_order_checks(events, policy, data):
             params, seed=0, out=Path(tmp), stem="order", base_dir=None
         )
     summary = enumerate_admissible_orientations(events, policy)
-    classical = summary.classical
     orders = [summary.order(k) for k in range(summary.admissible_count)]
-    assert verdicts["containsClassical"] == all(o.contains(classical) for o in orders)
-    assert verdicts["strengthened"] == (
-        bool(orders) and all(strict_extension_check(classical, o).holds for o in orders)
-    )
+    masks = [extension_by_pairs(summary.classical, o) for o in orders]
+    assert verdicts["containsClassical"] == all(contains for contains, _ in masks)
+    assert verdicts["strengthened"] == (bool(orders) and all(c and s for c, s in masks))
     assert verdicts["witnessComparable"] == (
         bool(orders) and all(o.comparable(*witness) for o in orders)
     )
+
+
+def test_order_run_verdicts_fail_on_orders_that_break_them(monkeypatch, tmp_path):
+    real = enumerate_admissible_orientations(THREE_PARTY_EVENTS)
+    ids = real.classical.ids  # the classical order is e2 -> e3
+
+    def relation(*pairs):
+        rel = np.zeros((3, 3), dtype=bool)
+        for a, b in pairs:
+            rel[ids.index(a), ids.index(b)] = True
+        return rel
+
+    relations = np.stack([
+        relation(("e1", "e2")),  # lacks the classical pair
+        real.classical.relation,  # orders nothing new
+        relation(("e1", "e2"), ("e1", "e3"), ("e2", "e3")),  # a strict extension
+    ])
+    built = causal.OrientationSummary(
+        real.classical, real.free_pairs, (0, 1, 2), relations, real.comparability, 4
+    )
+    monkeypatch.setattr(causal, "enumerate_admissible_orientations", lambda *args: built)
+    params = {
+        "events": THREE_PARTY_EVENTS,
+        "policy": "all",
+        "witnessPair": None,
+        "expectStrengthened": True,
+        "expectAdmissible": None,
+    }
+    _, verdicts, _ = scenarios._run_order(
+        params, seed=0, out=tmp_path, stem="order", base_dir=None
+    )
+    assert verdicts == {"containsClassical": False, "strengthened": False}
 
 
 def test_order_run_builds_causal_orders_only_to_dump_them(monkeypatch, tmp_path):
