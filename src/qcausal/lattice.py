@@ -20,6 +20,13 @@ so whole rows of D come from one batched FFT (Cooley & Tukey, Math. Comp.
 19 (1965) 297) in O(N log N) each. `commutator_table` is the one place that
 runs it; the cone profile and the commutation graph read its rows.
 `pauli_jordan` keeps the direct sum as the slow point definition.
+
+D is even in dx, D(-dx, dt) = D(dx, dt), because w_n = w_{N-n}. The FFT
+rows are even only to rounding, so the table keeps their even part,
+(D(dx) + D(-dx)) / 2. Addition commutes in IEEE arithmetic, so that is
+exactly even, and a column dx > N/2 is bit for bit column N - dx. The
+equal-time and antisymmetry residues stay the FFT's own, not zeros by
+construction.
 """
 
 from __future__ import annotations
@@ -89,6 +96,12 @@ def _steps(spec: LatticeSpec) -> np.ndarray:
     return np.arange(-(spec.time_steps - 1), spec.time_steps)
 
 
+def _mirrored(rows: np.ndarray) -> np.ndarray:
+    """Each row at -dx mod N: reversing the columns maps dx to N - 1 - dx,
+    and rolling one column brings that to -dx mod N."""
+    return np.roll(rows[:, ::-1], 1, axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class CommutatorField:
     """D on the (2T-1, N) grid: row j + T - 1 is dt = j * h, column dx mod N."""
@@ -97,10 +110,13 @@ class CommutatorField:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.equal_time_max() > ANTISYM_TOL:
+        # written `not x <= tol` so that a NaN residue fails
+        if not self.equal_time_max() <= ANTISYM_TOL:
             raise ValueError("D must vanish at equal time")
-        if self.antisymmetry_max() > ANTISYM_TOL:
+        if not self.antisymmetry_max() <= ANTISYM_TOL:
             raise ValueError("antisymmetry D(-dx, -dt) = -D(dx, dt) broken")
+        if not np.array_equal(self.values, _mirrored(self.values)):
+            raise ValueError("parity D(-dx, dt) = D(dx, dt) broken")
 
     def equal_time_max(self) -> float:
         return float(np.abs(self.values[self.spec.time_steps - 1]).max())
@@ -108,11 +124,10 @@ class CommutatorField:
     def antisymmetry_max(self) -> float:
         """max |D(dx, dt) + D(-dx, -dt)|.
 
-        Reversing both axes maps (j, dx) to (-j, N - 1 - dx); rolling one
-        column brings that to (-j, -dx mod N).
+        Reversing the rows maps step j to -j, and `_mirrored` maps dx to
+        -dx mod N.
         """
-        partner = np.roll(self.values[::-1, ::-1], 1, axis=1)
-        return float(np.abs(self.values + partner).max())
+        return float(np.abs(self.values + _mirrored(self.values[::-1])).max())
 
     def dts(self) -> list:
         """Time separations of the rows, ascending."""
@@ -123,11 +138,12 @@ class CommutatorField:
 
 
 def commutator_table(spec: LatticeSpec) -> CommutatorField:
-    """D on all separations reachable inside the time window, one FFT row per step."""
+    """D on all separations reachable inside the time window, one FFT row per
+    step, kept as its exactly even part in dx."""
     _, omegas = _mode_tables(spec.sites, spec.mass)
     dts = _steps(spec) * spec.time_step
     rows = np.fft.ifft(np.exp(-1j * omegas * dts[:, None]) / omegas, axis=1).imag
-    return CommutatorField(spec, rows)
+    return CommutatorField(spec, 0.5 * (rows + _mirrored(rows)))
 
 
 def commutation_graph(spec: LatticeSpec, eps: float) -> CommutationGraph:

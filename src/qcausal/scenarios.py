@@ -417,14 +417,19 @@ def _commutator_blocks(table):
     """The `dx,dt,D` rows as one text block per dx, dt ascending in each.
 
     Every dt cell is formatted once into a block template whose D cells are
-    `%r`, so each D goes through `repr` once and no row is built or joined
-    on its own. The blocks are generated as `emit_csv` writes them.
+    `%r`, and no row is built or joined on its own. The table is exactly
+    even in dx, so only columns 0 .. N//2 go through `repr`, once each as
+    they are reached; a dx > N/2 reuses the block of N - dx with its own dx
+    substituted. The blocks are generated as `emit_csv` writes them.
     """
     template = "\n".join(f"{{dx}},{dt!r},%r" for dt in table.dts())
-    return (
-        template.replace("{dx}", str(dx)) % tuple(column)
-        for dx, column in enumerate(table.values.T.tolist())
-    )
+    sites = table.spec.sites
+    blocks = []
+    for dx, column in enumerate(table.values.T[: sites // 2 + 1].tolist()):
+        blocks.append(template % tuple(column))
+        yield blocks[dx].replace("{dx}", str(dx))
+    for dx in range(sites // 2 + 1, sites):
+        yield blocks[sites - dx].replace("{dx}", str(dx))
 
 
 def _run_cone(params, *, seed, out, stem, base_dir):

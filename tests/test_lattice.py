@@ -1,4 +1,7 @@
+import functools
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from qcausal.lattice import (
 )
 
 SPEC64 = LatticeSpec(64, 1.0, 16)
+ORACLE = Path(__file__).resolve().parent.parent / "scripts" / "verify_fixtures.py"
 
 
 def test_spec_validation():
@@ -113,6 +117,28 @@ def test_commutator_field_rejects_broken_invariants():
         CommutatorField(spec, skewed)
 
 
+def test_commutator_field_rejects_a_one_ulp_parity_skew():
+    spec = LatticeSpec(16, 0.5, 6)
+    values = commutator_table(spec).values.copy()
+    # column 3 against its mirror, column 13
+    values[:, 3] = np.nextafter(values[:, 3], np.inf)
+    with pytest.raises(ValueError, match="parity"):
+        CommutatorField(spec, values)
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [((5, 3), "equal time"), ((7, 3), "antisymmetry"), ((2, 8), "antisymmetry")],
+    ids=["equal-time-row", "later-row", "column-n-half"],
+)
+def test_commutator_field_rejects_a_nan_cell(cell, message):
+    spec = LatticeSpec(16, 0.5, 6)
+    values = commutator_table(spec).values.copy()
+    values[cell] = math.nan
+    with pytest.raises(ValueError, match=message):
+        CommutatorField(spec, values)
+
+
 @settings(deadline=None)
 @given(
     sites=st.integers(8, 96),
@@ -137,16 +163,26 @@ def test_commutator_table_matches_pauli_jordan(sites, mass, time_steps, time_ste
     time_step=st.floats(0.25, 2.0),
 )
 def test_commutator_table_is_even_in_dx(sites, mass, time_steps, time_step):
-    # D(-dx, dt) = D(dx, dt) because w_n = w_{N-n}: reversing the columns
-    # maps dx to N - 1 - dx, and rolling one column brings that to -dx mod N.
-    values = commutator_table(LatticeSpec(sites, mass, time_steps, time_step)).values
-    mirrored = np.roll(values[:, ::-1], 1, axis=1)
-    assert np.abs(values - mirrored).max() <= 1e-13
+    # D(-dx, dt) = D(dx, dt) because w_n = w_{N-n}. The table is its even
+    # part, so it is exactly even; the raw FFT rows must be even to rounding,
+    # so keeping the even part moves no cell by more than that.
+    spec = LatticeSpec(sites, mass, time_steps, time_step)
+    values = commutator_table(spec).values
+    assert np.array_equal(values, mirrored(values))
+    raw = rows_by_step(spec, lattice._steps(spec))
+    assert np.abs(values - raw).max() <= 1e-13
+    assert np.abs(raw - mirrored(raw)).max() <= 1e-13
+
+
+def mirrored(rows):
+    """Each row at -dx mod N: reversing the columns maps dx to N - 1 - dx,
+    and rolling one column brings that to -dx mod N."""
+    return np.roll(rows[:, ::-1], 1, axis=1)
 
 
 def rows_by_step(spec, steps):
     """Reference: D(dx, j * h) for each integer step j, one FFT over modes
-    per requested step (the cone profile's own rows before it read the table)."""
+    per requested step, as it comes out of the FFT."""
     _, omegas = lattice._mode_tables(spec.sites, spec.mass)
     dts = steps * spec.time_step
     return np.fft.ifft(np.exp(-1j * omegas * dts[:, None]) / omegas, axis=1).imag
@@ -164,7 +200,8 @@ def test_cone_profile_equals_per_row_definition(sites, mass, time_steps, time_st
     spec = LatticeSpec(sites, mass, time_steps, time_step)
     table = commutator_table(spec)
     steps = np.arange(1, (time_steps + 1) // 2)
-    reference = rows_by_step(spec, steps)
+    raw = rows_by_step(spec, steps)
+    reference = 0.5 * (raw + mirrored(raw))
     assert np.array_equal(table.values[steps + time_steps - 1], reference)
     half = sites // 2
     extents = [
@@ -265,3 +302,54 @@ def test_cone_profile_errors():
         ConeProfile(profile.per_time_extent, -0.5, 50.0)
     with pytest.raises(ValueError, match="8 time steps"):
         cone_profile(commutator_table(LatticeSpec(64, 1.0, 6)), eps=1e-3)
+
+
+@functools.cache
+def oracle():
+    """The fixture oracle, loaded by path: it imports nothing from the package."""
+    spec = importlib.util.spec_from_file_location("verify_fixtures", ORACLE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# A draw whose |D| comes within the oracle's EPS_MARGIN of eps has no
+# reliable extent, so its cone is not compared; more than this share of
+# such draws fails the test, since then it would compare too little.
+MAX_THRESHOLD_SKIP_SHARE = 0.05
+# draws of at most 20 sites and 14 steps: about 4 s on a 2-core Xeon VM
+ORACLE_DRAWS = 250
+
+
+def test_table_and_cone_match_the_oracle():
+    counts = {"draws": 0, "skips": 0}
+
+    @settings(deadline=None, max_examples=ORACLE_DRAWS)
+    @given(
+        sites=st.integers(8, 20),
+        time_steps=st.integers(8, 14),
+        mass=st.floats(0.1, 2.0),
+        eps=st.floats(-4.0, -2.0).map(lambda power: 10.0**power),
+        data=st.data(),
+    )
+    def check(sites, time_steps, mass, eps, data):
+        table = commutator_table(LatticeSpec(sites, mass, time_steps))
+        step = data.draw(st.integers(-(time_steps - 1), time_steps - 1), label="step")
+        omegas = oracle().omega_table(sites, mass)
+        # every dx, so the half of the table mirrored from dx <= N/2 is
+        # checked on its own
+        for dx in range(sites):
+            expected = float(oracle().commutator(sites, omegas, dx, step))
+            assert abs(table.value(dx, step) - expected) <= 1e-13
+        counts["draws"] += 1
+        section = oracle().cone_section(sites, mass, time_steps, eps)
+        if section["thresholdMargin"] < oracle().EPS_MARGIN:
+            counts["skips"] += 1
+            return
+        profile = cone_profile(table, eps)
+        assert profile.extents().tolist() == [extent for _, extent in section["extents"]]
+        assert profile.broadening() == section["broadening"]
+        assert abs(profile.fitted_speed - section["fittedSpeed"]) <= 1e-9
+
+    check()
+    assert counts["skips"] <= MAX_THRESHOLD_SKIP_SHARE * counts["draws"], counts
