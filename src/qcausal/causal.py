@@ -18,6 +18,12 @@ Math. 5 (1973) 171). ``orientation_count`` is the number of orientations
 the policy allows: 2^free for ``all``, 2^ties for ``earliest-first``.
 ``extension_masks`` decides the paper's claim for each admissible order: it
 holds every classical pair and orders at least one more.
+
+The light cone and the boost each have one definition, an array kernel
+over stacks of event sets: ``_light_cone`` maps (..., n, 1+d) coordinates
+to (..., n, n) relations and ``_boosted`` maps them to (..., B, n, 1+d)
+under B boosts. ``classical_order`` and ``boost`` call them on one set;
+criterion 11 of the battery calls them on one stack per set size.
 """
 
 from __future__ import annotations
@@ -141,38 +147,72 @@ class CausalOrder:
         return sorted((self.ids[i], self.ids[j]) for i, j in np.argwhere(cover).tolist())
 
 
-def classical_order(events) -> CausalOrder:
-    """e before f iff t_f > t_e and the interval is causal (>= 0).
+def _light_cone(coords) -> np.ndarray:
+    """The classical relation of each event set in ``coords``, an (..., n, 1+d)
+    array with time first, as an (..., n, n) bool array.
 
     Entry (i, j) repeats ``interval``'s float operations in its order, so
     the relation is bit for bit the per-pair definition's. Coordinates
     whose interval overflows raise ValueError.
     """
-    events = _check_events(events)
-    coords = np.array([(e.t, *e.x) for e in events])
+    coords = np.asarray(coords, dtype=float)
     try:
         with np.errstate(over="raise", invalid="ignore"):  # NaN compares false, as in Python
-            d = coords - coords[:, None]  # d[i, j]: event j minus event i, time first
-            dt = d[:, :, 0]
-            spatial = sum(d[:, :, k] * d[:, :, k] for k in range(1, coords.shape[1]))
+            # d[..., i, j, :]: event j minus event i, time first
+            d = coords[..., None, :, :] - coords[..., :, None, :]
+            dt = d[..., 0]
+            spatial = sum(d[..., k] * d[..., k] for k in range(1, coords.shape[-1]))
             rel = dt * dt - spatial >= 0
     except FloatingPointError as err:
         raise ValueError(f"event coordinates too large for the interval ({err})") from None
     rel &= dt > 0
-    return CausalOrder(tuple(e.id for e in events), rel)
+    return rel
+
+
+def _boosted(coords, betas) -> np.ndarray:
+    """Each event set in ``coords`` (..., n, 1+d) boosted by each beta along
+    the first spatial axis: (..., B, n, 1+d) with
+    t' = gamma (t - beta x0) and x0' = gamma (x0 - beta t).
+
+    Raises ValueError for |beta| >= 1, for events without a spatial axis
+    and for boosted coordinates that overflow.
+    """
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape[-1] < 2:
+        raise ValueError("a boost needs a first spatial axis; the events have x = ()")
+    gammas = []
+    for beta in betas:
+        if not abs(beta) < 1:
+            raise ValueError("boost velocity must satisfy |beta| < 1")
+        gammas.append(1.0 / math.sqrt(1.0 - beta * beta))
+    beta = np.array(betas, dtype=float)[:, None]
+    gamma = np.array(gammas)[:, None]
+    t, x0 = coords[..., None, :, 0], coords[..., None, :, 1]
+    out = np.repeat(coords[..., None, :, :], len(gammas), axis=-3)
+    try:
+        with np.errstate(over="raise", invalid="ignore"):
+            out[..., 0] = gamma * (t - beta * x0)
+            out[..., 1] = gamma * (x0 - beta * t)
+    except FloatingPointError as err:
+        raise ValueError(f"boosted event coordinates too large ({err})") from None
+    return out
+
+
+def _coordinates(events) -> np.ndarray:
+    return np.array([(e.t, *e.x) for e in events], dtype=float)
+
+
+def classical_order(events) -> CausalOrder:
+    """e before f iff t_f > t_e and the interval is causal (>= 0)."""
+    events = _check_events(events)
+    return CausalOrder(tuple(e.id for e in events), _light_cone(_coordinates(events)))
 
 
 def boost(events, beta: float):
     """1+1D boost along the first spatial axis (|beta| < 1)."""
-    if not abs(beta) < 1:
-        raise ValueError("boost velocity must satisfy |beta| < 1")
-    gamma = 1.0 / math.sqrt(1.0 - beta * beta)
-    out = []
-    for e in events:
-        t = gamma * (e.t - beta * e.x[0])
-        x0 = gamma * (e.x[0] - beta * e.t)
-        out.append(Event(e.id, t, (x0,) + e.x[1:], e.group))
-    return tuple(out)
+    events = _check_events(events)
+    moved = _boosted(_coordinates(events), [beta])[0].tolist()
+    return tuple(Event(e.id, t, tuple(x), e.group) for e, (t, *x) in zip(events, moved))
 
 
 def _free_pairs(events, classical: CausalOrder):

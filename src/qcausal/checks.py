@@ -277,28 +277,29 @@ def _stronger_causal_ordering(seed):
     }
 
 
+def _boost_event_sets(seed):
+    """The three-party set and 100 random sets of 2-8 events in 1+1D, as
+    (n, 2) coordinate arrays, and the 9 boost velocities."""
+    rng = np.random.default_rng(seed + 11)
+    event_sets = [causal._coordinates(causal.THREE_PARTY_EVENTS)]
+    for _ in range(100):
+        count = int(rng.integers(2, 9))
+        event_sets.append(rng.uniform(-5, 5, size=(count, 2)))  # row i: (t, x) of event i
+    betas = [-0.9, -0.6, -0.3, 0.3, 0.6, 0.9] + [float(b) for b in rng.uniform(-0.9, 0.9, 3)]
+    return event_sets, betas
+
+
 @_timed(30.0)
 def _boost_invariance(seed):
-    rng = np.random.default_rng(seed + 11)
-    event_sets = [causal.THREE_PARTY_EVENTS]
-    for k in range(100):
-        count = int(rng.integers(2, 9))
-        event_sets.append(
-            tuple(
-                causal.Event(f"r{k}e{i}", float(rng.uniform(-5, 5)), (float(rng.uniform(-5, 5)),))
-                for i in range(count)
-            )
-        )
-    betas = [-0.9, -0.6, -0.3, 0.3, 0.6, 0.9] + [float(b) for b in rng.uniform(-0.9, 0.9, 3)]
+    event_sets, betas = _boost_event_sets(seed)
     violations = 0
-    for events in event_sets:
-        reference = causal.classical_order(events)
-        for beta in betas:
-            boosted = causal.classical_order(causal.boost(events, beta))
-            # equal ids and relations mean equal pairs(), without building them
-            violations += boosted.ids != reference.ids or not np.array_equal(
-                boosted.relation, reference.relation
-            )
+    for n in sorted({len(coords) for coords in event_sets}):
+        stack = np.array([coords for coords in event_sets if len(coords) == n])
+        # frame 0 of each set is the set itself; frames 1.. are its boosts
+        frames = np.concatenate([stack[:, None], causal._boosted(stack, betas)], axis=1)
+        rel = causal._light_cone(frames)
+        causal._check_strict_orders(rel.reshape(-1, n, n))
+        violations += int((rel[:, 1:] != rel[:, :1]).any(axis=(2, 3)).sum())
     return violations == 0, {
         "eventSets": len(event_sets),
         "boostsPerSet": len(betas),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcausal import checks, topology
+from qcausal import causal, checks, topology
 from qcausal.cli import main
 
 SEED = checks.DEFAULT_SEED
@@ -111,3 +111,76 @@ def test_points_oracle_enumerates_cliques_once_per_graph(monkeypatch):
     assert passed
     assert details["resampledDenseGraphs"] > 0  # the resample rule is exercised
     assert len(calls) == 3 + 200 + details["resampledDenseGraphs"]
+
+
+def test_boost_invariance_fails_on_a_frame_that_is_not_a_boost(monkeypatch):
+    boosted = causal._boosted
+
+    def halved_time(coords, betas):
+        out = boosted(coords, betas)
+        out[..., 0, :, :] = coords
+        out[..., 0, :, 0] /= 2  # the first beta's frame: t' = t / 2, x' = x
+        return out
+
+    monkeypatch.setattr(causal, "_boosted", halved_time)
+    passed, details, _ = checks._boost_invariance(SEED)
+    assert not passed
+    assert 1 <= details["violations"] <= details["eventSets"]
+
+
+def test_boost_invariance_checks_every_boosted_order(monkeypatch):
+    # five events that today's float boost leaves non-transitive at this beta
+    non_transitive = np.array([(2.0, 1.0), (0.0, -2.0), (2.0, 4.0), (1.0, 0.0), (0.0, -1.0)])
+    boosted = causal._boosted
+
+    def one_bad_frame(coords, betas):
+        out = boosted(coords, betas)
+        if coords.shape[-2] == len(non_transitive):
+            out[-1, -1] = boosted(non_transitive, [-0.43856617187632374])[0]
+        return out
+
+    monkeypatch.setattr(causal, "_boosted", one_bad_frame)
+    with pytest.raises(ValueError, match="order must be transitive"):
+        checks._boost_invariance(SEED)
+
+
+def test_boost_invariance_orders_every_set_in_one_stack_per_size(monkeypatch):
+    built, stacks = [], []
+    post_init, light_cone = causal.CausalOrder.__post_init__, causal._light_cone
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_light_cone(coords):
+        stacks.append(coords)
+        return light_cone(coords)
+
+    monkeypatch.setattr(causal.CausalOrder, "__post_init__", counted_post_init)
+    monkeypatch.setattr(causal, "_light_cone", counted_light_cone)
+    passed, details, _ = checks._boost_invariance(SEED)
+    assert passed
+    assert len(built) <= 1  # at most the unboosted three-party set
+    event_sets, betas = checks._boost_event_sets(SEED)
+    sizes = sorted({len(coords) for coords in event_sets})
+    assert [stack.shape[-2] for stack in stacks] == sizes
+    assert all(stack.shape[1] == 1 + len(betas) for stack in stacks)
+    unboosted = [coords.tolist() for stack in stacks for coords in stack[:, 0]]
+    assert sorted(unboosted) == sorted(coords.tolist() for coords in event_sets)
+    assert details["eventSets"] == len(event_sets) == 101
+
+
+@pytest.mark.parametrize("seed", [0, 7, SEED, 2**31])
+def test_boost_event_sets_are_the_scalar_draws(seed):
+    rng = np.random.default_rng(seed + 11)
+    expected = [[[e.t, *e.x] for e in causal.THREE_PARTY_EVENTS]]
+    for _ in range(100):
+        count = int(rng.integers(2, 9))
+        expected.append(
+            [[float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5))] for _ in range(count)]
+        )
+    random_betas = [float(rng.uniform(-0.9, 0.9)) for _ in range(3)]
+    expected_betas = [-0.9, -0.6, -0.3, 0.3, 0.6, 0.9] + random_betas
+    event_sets, betas = checks._boost_event_sets(seed)
+    assert [coords.tolist() for coords in event_sets] == expected
+    assert betas == expected_betas

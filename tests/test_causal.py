@@ -308,6 +308,99 @@ def test_boost_changes_coordinates_but_not_intervals():
             ) <= 1e-9
 
 
+def test_boost_rejects_events_without_a_spatial_axis():
+    with pytest.raises(ValueError, match="first spatial axis"):
+        boost((Event("a", 0.0, ()), Event("b", 1.0, ())), 0.5)
+
+
+def test_boost_raises_when_boosted_coordinates_overflow():
+    # gamma = 2.29 at beta = 0.9: both t' and x0' leave the float range
+    events = (Event("a", 1e308, (0.0,)), Event("b", 1.7e308, (0.0,)))
+    with pytest.raises(ValueError, match="too large"):
+        boost(events, 0.9)
+    with pytest.raises(ValueError, match="too large"):
+        causal._boosted(causal._coordinates(events), [0.3, 0.9])
+
+
+def boost_by_events(events, beta):
+    """Reference definition: each event boosted in Python floats, which
+    overflow to infinity silently."""
+    gamma = 1.0 / math.sqrt(1.0 - beta * beta)
+    return [
+        (gamma * (e.t - beta * e.x[0]), gamma * (e.x[0] - beta * e.t), *e.x[1:]) for e in events
+    ]
+
+
+def outcome(build):
+    """``build()``'s value, or a ValueError's message with any "too large"
+    overflow message read as "too large"."""
+    try:
+        return build()
+    except ValueError as err:
+        return "too large" if "too large" in str(err) else str(err)
+
+
+@st.composite
+def boost_stacks(draw):
+    """1-3 sets of 1-8 events in 1-3 spatial dimensions, with integer or
+    uniform coordinates and at times one near the float limit, and 1-4
+    betas in (-0.95, 0.95)."""
+    sets, n, dims = draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    coordinate = st.one_of(st.integers(-6, 6).map(float), st.floats(-5.0, 5.0))
+    coords = np.array(
+        [[[draw(coordinate) for _ in range(1 + dims)] for _ in range(n)] for _ in range(sets)]
+    )
+    huge = draw(st.sampled_from([None, None, None, 1e308, -1.7e308]))
+    if huge is not None:
+        coords[draw(st.integers(0, sets - 1)), draw(st.integers(0, n - 1)), 0] = huge
+    beta = st.one_of(
+        st.sampled_from([-0.9, 0.9]), st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True)
+    )
+    return coords, draw(st.lists(beta, min_size=1, max_size=4))
+
+
+@settings(deadline=None, max_examples=300)
+@given(boost_stacks())
+def test_stacked_boosts_equal_per_call_boosts(case):
+    coords, betas = case
+    per_call = []  # per (set, beta) in stack order: (coordinates, relation), either an error
+    for c in coords:
+        events = tuple(Event(f"e{i}", row[0], tuple(row[1:])) for i, row in enumerate(c.tolist()))
+        for beta in betas:
+            moved = outcome(lambda: boost(events, beta))
+            reference = boost_by_events(events, beta)
+            if isinstance(moved, str):
+                assert moved == "too large" and not np.isfinite(reference).all()
+                per_call.append((moved, moved))
+                continue
+            assert [(e.t, *e.x) for e in moved] == reference
+            relation = outcome(lambda: classical_order(moved).relation.tolist())
+            if relation != "too large":
+                assert relation == outcome(lambda: classical_by_pairs(moved).relation.tolist())
+            per_call.append((reference, relation))
+
+    def stacked():
+        moved = causal._boosted(coords, betas)
+        return moved, causal._light_cone(moved)
+
+    def checked(r):
+        causal._check_strict_orders(r)
+        return r.tolist()
+
+    result = outcome(stacked)
+    overflowed = any("too large" in entry for entry in per_call)
+    assert (result == "too large") == overflowed
+    if overflowed:
+        return
+    n, axes = coords.shape[1:]
+    moved, rel = result
+    for (moved_coords, relation), m, r in zip(
+        per_call, moved.reshape(-1, n, axes), rel.reshape(-1, n, n), strict=True
+    ):
+        assert np.array_equal(m, np.array(moved_coords))
+        assert relation == outcome(lambda: checked(r))
+
+
 def test_earliest_first_orientation_branches_on_ties():
     summary = enumerate_admissible_orientations(THREE_PARTY_EVENTS, "earliest-first")
     assert summary.orientation_count == 2
