@@ -14,8 +14,8 @@ package and leaves nothing behind in it.
 import importlib
 
 _NAMES = {
-    "quantum": """MeasurementRecord Pvm StateVector UnitaryOp apply_unitary basis_state
-        collapse embed_pvm measure_probabilities spin_pvm tensor""",
+    "quantum": """MeasurementRecord Pvm StateVector collapse embed_pvm
+        measure_probabilities spin_pvm""",
     "entanglement": """ChshSettings CorrelationSetting EraserConfig LhvStrategy
         bell_phi_plus chsh correlation enumerate_lhv_strategies epr_consistency
         eraser_visibility ghz joint_spin_probabilities lhv_max_chsh maximize_chsh

@@ -3,7 +3,12 @@
 Builds the maximally correlated two-spin state, evaluates spin-spin
 correlations and CHSH sums, enumerates deterministic local-hidden-variable
 strategies exhaustively, simulates sequential measurement of both wings,
-and runs a minimal two-qubit which-path / erasure model.
+and runs a minimal two-qubit which-path / erasure model (Scully & Druehl,
+Phys. Rev. A 25 (1982) 2208).
+
+Every joint spin table, the CHSH terms and the eraser curve's phases
+included, comes from one Born-rule contraction, `joint_spin_tables`; only
+`epr_consistency` samples outcomes and collapses the state.
 """
 
 from __future__ import annotations
@@ -16,17 +21,12 @@ import numpy as np
 
 from .quantum import (
     StateVector,
-    UnitaryOp,
-    apply_unitary,
-    basis_state,
     born_cumulative,
     born_index,
     collapse,
     embed_pvm,
-    measure_probabilities,
     spin_projectors,
     spin_pvm,
-    tensor,
 )
 
 SAMPLE_CHUNK = 1 << 16  # trials per batch of draws in epr_consistency
@@ -278,36 +278,36 @@ def epr_consistency(axis, trials: int, seed: int, axis_b=None) -> float:
     return agreements / trials
 
 
-_CNOT = UnitaryOp(
-    np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-        dtype=complex,
-    )
-)
-
-
 def eraser_curve(cfg: EraserConfig):
     """Detection probability of the path interference port per phase.
 
-    Path qubit starts in (|0> + e^{i phi}|1>)/sqrt2; marking copies the path
-    onto a marker qubit; erasure measures the marker in the +/- basis and
-    keeps the + runs. Returns (phases, probabilities).
+    Path qubit (site 0) starts in (|0> + e^{i phi}|1>)/sqrt2; marking copies
+    the path onto a marker qubit (site 1) with a CNOT; erasure measures the
+    marker along x and keeps the + runs (Lueders rule). The port detects path
+    +x. Returns (phases, probabilities).
+
+    The path state is R_z(phi)|+x> with R_z(phi) = diag(1, e^{i phi}), and
+    R_z(phi)^dag sigma_x R_z(phi) = n(phi).sigma with n(phi) = (cos phi,
+    -sin phi, 0). The CNOT's control is the path, so it commutes with
+    R_z(phi), and detecting +x at phase phi is detecting +n(phi) on the
+    phi = 0 state: CNOT|+x>|0> = `bell_phi_plus()` when marked, amplitudes
+    [1, 0, 1, 0]/sqrt2 when not. So one `joint_spin_tables` call gives every
+    phase: with T = joint_spin_tables(psi_0, [n(phi_k)], [x])[:, 0],
+    P_k = T[k,0,0] + T[k,0,1] without erasure and
+    P_k = T[k,0,0] / (T[k,0,0] + T[k,1,0]) with it.
     """
     if cfg.erasure and not cfg.marking:
         raise ValueError("nothing to erase: erasure requires marking")
-    path_port = embed_pvm(spin_pvm((1.0, 0.0, 0.0)), 0, 2)
-    marker_port = embed_pvm(spin_pvm((1.0, 0.0, 0.0)), 1, 2)
     phases = 2.0 * math.pi * np.arange(cfg.phase_samples) / cfg.phase_samples
-    probs = np.empty(cfg.phase_samples)
-    for k, phi in enumerate(phases):
-        path = StateVector(np.array([1.0, np.exp(1j * phi)]) / math.sqrt(2.0))
-        psi = tensor(path, basis_state(2, 0))
-        if cfg.marking:
-            psi = apply_unitary(_CNOT, psi)
-        if cfg.erasure:
-            psi = collapse(marker_port, 0, psi)
-        probs[k] = measure_probabilities(path_port, psi).probability(+1.0)
-    return phases, probs
+    if cfg.marking:
+        psi = bell_phi_plus()
+    else:
+        psi = StateVector(np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2.0))
+    ports = np.stack([np.cos(phases), -np.sin(phases), np.zeros_like(phases)], axis=1)
+    table = joint_spin_tables(psi, ports, [(1.0, 0.0, 0.0)])[:, 0]
+    if cfg.erasure:
+        return phases, table[:, 0, 0] / (table[:, 0, 0] + table[:, 1, 0])
+    return phases, table[:, 0, 0] + table[:, 0, 1]
 
 
 def eraser_visibility(probs) -> float:

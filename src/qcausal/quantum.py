@@ -9,6 +9,11 @@ summing to the identity), measurement follows the Born rule
 and a registered outcome replaces the state by the renormalized
 projection P_i|psi> / ||P_i psi||. Everything is immutable and pure;
 all spaces are finite-dimensional.
+
+There is no unitary evolution here: an experiment that rotates its state
+before a measurement rotates the measured axis instead (the Heisenberg
+picture), and `spin_projectors` stacks the projectors of many axes so that
+one Born-rule contraction covers them all.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 NORM_TOL = 1e-12    # unit-norm and degenerate-branch tolerance
-STRUCT_TOL = 1e-10  # projector/unitary structure tolerance
+STRUCT_TOL = 1e-10  # projector structure tolerance
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -110,22 +115,6 @@ class Pvm:
 
 
 @dataclass(frozen=True, eq=False)
-class UnitaryOp:
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = _readonly(self.matrix, "matrix")
-        dim = mat.shape[0]
-        if not np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) <= STRUCT_TOL:
-            raise ValueError("matrix is not unitary")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class MeasurementRecord:
     """Outcome table (eigenvalue, probability) of one projective measurement."""
 
@@ -139,23 +128,6 @@ class MeasurementRecord:
         if not abs(probs.sum() - 1.0) <= STRUCT_TOL:
             raise ValueError(f"branch probabilities sum to {probs.sum()}, not 1")
         object.__setattr__(self, "outcomes", outcomes)
-
-    def probability(self, eigenvalue: float) -> float:
-        for value, prob in self.outcomes:
-            if value == eigenvalue:
-                return prob
-        raise KeyError(f"no branch with eigenvalue {eigenvalue}")
-
-
-def basis_state(dimension: int, index: int) -> StateVector:
-    amps = np.zeros(dimension, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(amps)
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Composite state; the index of `a` varies slowest (row-major)."""
-    return StateVector(np.kron(a.amplitudes, b.amplitudes))
 
 
 def _check_dims(obs: Pvm, psi: StateVector) -> None:
@@ -185,12 +157,6 @@ def collapse(obs: Pvm, branch_index: int, psi: StateVector) -> StateVector:
             f"branch {branch_index} has probability {prob}; collapse onto an impossible outcome"
         )
     return StateVector(projected / np.sqrt(prob))
-
-
-def apply_unitary(u: UnitaryOp, psi: StateVector) -> StateVector:
-    if u.dimension != psi.dimension:
-        raise ValueError(f"dimension mismatch: {u.dimension} vs {psi.dimension}")
-    return StateVector(u.matrix @ psi.amplitudes)
 
 
 def born_cumulative(obs: Pvm, psi: StateVector) -> np.ndarray:

@@ -18,7 +18,18 @@ from . import causal, entanglement, lattice, topology
 from .topology import ResourceLimitError
 
 DEFAULT_SEED = 20260810
-MAX_PHASE_SAMPLES = 4096  # eraser curve points; a run at the cap takes about 0.4 s
+# Eraser curve points. The curve is one batched contraction, so time no longer
+# sets the cap: a run at it takes about 12 ms. It bounds memory and the CSV,
+# both linear in the samples: 32 MB peak RSS (30 MB of it the interpreter and
+# numpy) and a 155 KB CSV at the cap.
+MAX_PHASE_SAMPLES = 4096
+# CHSH grid angles, 360 / gridStepDegrees: a 0.1 degree step. It bounds the
+# search's G x G tables (about 430 MB at the cap); the O(G^3) search itself
+# still takes about 110 ms per angle there on a 2-core Xeon.
+MAX_GRID_ANGLES = 3600
+# Cone table cells, sites * (2 * timeSteps - 1). 8192 sites x 256 steps is
+# just under it: 540 MB peak RSS, 3.2 s and a 141 MB commutator CSV.
+MAX_TABLE_CELLS = 1 << 22
 MAX_ORDER_EVENTS = 64  # with MAX_ADMISSIBLE orders at this size a run takes about 0.3 s
 
 NAMED_AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
@@ -366,11 +377,14 @@ def _run_chsh(params, *, seed, out, stem, base_dir):
 
 
 def _run_lhv(params, *, seed, out, stem, base_dir):
+    step = params["gridStepDegrees"]
+    if step > 0:  # maximize_chsh rejects the rest with its own message
+        angles = 360 / step  # the grid has ceil(angles) points; ceil overflows on inf
+        angles = math.ceil(angles) if angles < math.inf else angles
+        _check_size(angles, "gridStepDegrees", "grid angles", MAX_GRID_ANGLES)
     strategies = entanglement.enumerate_lhv_strategies()
     values = [value for _, value in strategies]
-    settings, quantum_max = entanglement.maximize_chsh(
-        entanglement.bell_phi_plus(), params["gridStepDegrees"]
-    )
+    settings, quantum_max = entanglement.maximize_chsh(entanglement.bell_phi_plus(), step)
     lhv_max = float(max(values))
     metrics = {
         "lhvMax": lhv_max,
@@ -436,6 +450,8 @@ def _run_cone(params, *, seed, out, stem, base_dir):
     spec = lattice.LatticeSpec(
         params["sites"], params["mass"], params["timeSteps"], params["timeStep"]
     )
+    cells = spec.sites * (2 * spec.time_steps - 1)
+    _check_size(cells, "sites * (2 * timeSteps - 1)", "table cells", MAX_TABLE_CELLS)
     eps = params["eps"]
     table = lattice.commutator_table(spec)
     profile = lattice.cone_profile(table, eps)

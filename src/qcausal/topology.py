@@ -148,7 +148,7 @@ def maximal_cliques(g: CommutationGraph):
     Returns vertex-index frozensets in a deterministic order.
     """
     if g.size > MAX_CLIQUE_VERTICES:
-        raise ValueError(f"clique enumeration limited to {MAX_CLIQUE_VERTICES} vertices")
+        raise ResourceLimitError(f"clique enumeration limited to {MAX_CLIQUE_VERTICES} vertices")
     neighbors = []
     for i in range(g.size):
         row = set(np.nonzero(g.adjacency[i])[0].tolist())

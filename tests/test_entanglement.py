@@ -30,11 +30,11 @@ from qcausal.quantum import (
     PAULI_Y,
     PAULI_Z,
     StateVector,
-    basis_state,
     born_cumulative,
     born_index,
     collapse,
     embed_pvm,
+    measure_probabilities,
     spin_pvm,
 )
 
@@ -56,7 +56,7 @@ def test_bell_state_amplitudes_and_norm():
     phi = bell_phi_plus()
     assert abs(np.linalg.norm(phi.amplitudes) - 1.0) <= 1e-12
     assert np.allclose(phi.amplitudes, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)], atol=1e-15)
-    assert np.vdot(basis_state(4, 1).amplitudes, phi.amplitudes) == 0.0
+    assert np.vdot([0, 1, 0, 0], phi.amplitudes) == 0.0
 
 
 def test_bell_state_zz_distribution():
@@ -164,7 +164,7 @@ def test_chsh_equal_settings_bounded_by_two():
 
 
 def test_maximize_chsh_product_state_classical_bound():
-    product = basis_state(4, 0)  # |uu>
+    product = StateVector([1, 0, 0, 0])  # |uu>
     for step in (5.0, 2.5):
         _, best = maximize_chsh(product, step)
         assert best <= 2.0 + 1e-9
@@ -457,6 +457,39 @@ def test_eraser_curve_shape_and_fringe():
 def test_eraser_marked_curve_is_flat():
     _, probs = eraser_curve(EraserConfig(True, False))
     assert np.allclose(probs, 0.5, atol=1e-12)
+
+
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+
+
+def eraser_curve_per_phase(cfg):
+    """Slow definition: per phase, build path x marker, apply the CNOT, collapse
+    the marker onto +x if erasing, then read the path port's +x probability."""
+    path_port = embed_pvm(spin_pvm(X_AXIS), 0, 2)
+    marker_port = embed_pvm(spin_pvm(X_AXIS), 1, 2)
+    phases = 2.0 * math.pi * np.arange(cfg.phase_samples) / cfg.phase_samples
+    probs = []
+    for phi in phases:
+        amps = np.kron(np.array([1.0, np.exp(1j * phi)]) / math.sqrt(2.0), [1.0, 0.0])
+        psi = StateVector(CNOT @ amps if cfg.marking else amps)
+        if cfg.erasure:
+            psi = collapse(marker_port, 0, psi)
+        probs.append(dict(measure_probabilities(path_port, psi).outcomes)[+1.0])
+    return phases, np.array(probs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([(False, False), (True, False), (True, True)]),
+    st.integers(8, 4096),
+)
+def test_eraser_curve_matches_per_phase_definition(config, samples):
+    cfg = EraserConfig(*config, phase_samples=samples)
+    phases, probs = eraser_curve(cfg)
+    ref_phases, ref_probs = eraser_curve_per_phase(cfg)
+    assert np.array_equal(phases, ref_phases)
+    assert probs.shape == ref_probs.shape
+    assert np.max(np.abs(probs - ref_probs)) <= 1e-15
 
 
 def test_eraser_rejects_erasure_without_marking():

@@ -13,8 +13,10 @@ from qcausal.fixtures import load_golden
 from qcausal.lattice import LatticeSpec, commutator_table, cone_profile
 from qcausal.scenarios import (
     DEFAULT_SEED,
+    MAX_GRID_ANGLES,
     MAX_ORDER_EVENTS,
     MAX_PHASE_SAMPLES,
+    MAX_TABLE_CELLS,
     ScenarioError,
     emit_json,
     parse_scenario,
@@ -500,16 +502,31 @@ def test_unknown_witness_id_is_a_validation_error(tmp_path, capsys):
             "'events'",
             "enumerate_admissible_orientations",
         ),
+        ("kind = lhv\ngridStepDegrees = 0.09\n", "gridStepDegrees", "maximize_chsh"),
+        ("kind = lhv\ngridStepDegrees = 5e-324\n", "gridStepDegrees", "maximize_chsh"),
+        (
+            "kind = cone\nsites = 100000\nmass = 1.0\ntimeSteps = 100000\n",
+            "sites * (2 * timeSteps - 1)",
+            "commutator_table",
+        ),
+        (
+            "kind = cone\nsites = 8192\nmass = 1.0\ntimeSteps = 257\n",
+            "sites * (2 * timeSteps - 1)",
+            "commutator_table",
+        ),
     ],
 )
 def test_sizes_checked_before_any_work(tmp_path, monkeypatch, capsys, text, key, refused):
     import qcausal.causal
     import qcausal.entanglement
+    import qcausal.lattice
 
     def refuse(*args, **kwargs):
         raise AssertionError("work started past the cap")
 
     monkeypatch.setattr(qcausal.entanglement, "eraser_curve", refuse)
+    monkeypatch.setattr(qcausal.entanglement, "maximize_chsh", refuse)
+    monkeypatch.setattr(qcausal.lattice, "commutator_table", refuse)
     monkeypatch.setattr(qcausal.causal, "enumerate_admissible_orientations", refuse)
     scenario_file = tmp_path / "big.scn"
     scenario_file.write_text(text)
@@ -518,6 +535,40 @@ def test_sizes_checked_before_any_work(tmp_path, monkeypatch, capsys, text, key,
     err = capsys.readouterr().err
     assert key in err and "more than the" in err
     assert not out.exists() or not any(out.iterdir())
+
+
+class _Reached(Exception):
+    """Raised in place of the expensive step, once the size checks have passed."""
+
+
+@pytest.mark.parametrize(
+    "text, target",
+    [
+        ("kind = lhv\ngridStepDegrees = 0.1\n", "qcausal.entanglement.maximize_chsh"),
+        (
+            "kind = cone\nsites = 8192\nmass = 1.0\ntimeSteps = 256\n",
+            "qcausal.lattice.commutator_table",
+        ),
+    ],
+)
+def test_sizes_at_the_cap_pass_the_size_check(tmp_path, monkeypatch, text, target):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(target, reached)
+    assert 360 / 0.1 == MAX_GRID_ANGLES
+    assert 8192 * (2 * 256 - 1) == 4_186_112 <= MAX_TABLE_CELLS < 8192 * (2 * 257 - 1)
+    with pytest.raises(_Reached):
+        run_scenario(parse_scenario(text), tmp_path)
+
+
+@pytest.mark.parametrize("step", ["0", "-1"])
+def test_grid_step_must_be_positive(tmp_path, capsys, step):
+    scenario_file = tmp_path / "step.scn"
+    scenario_file.write_text(f"kind = lhv\ngridStepDegrees = {step}\n")
+    assert main(["run", str(scenario_file), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "grid step must be positive" in err and "Traceback" not in err
 
 
 def _oracle_mismatches(reference, candidate, path=""):

@@ -107,8 +107,14 @@ def test_maximal_cliques_sound_and_complete_vs_networkx():
 
 def test_maximal_cliques_vertex_cap():
     g = complete_graph(501)
-    with pytest.raises(ValueError, match="500"):
+    with pytest.raises(ResourceLimitError, match="500"):
         maximal_cliques(g)
+
+
+def test_topology_report_past_vertex_cap_is_a_resource_limit():
+    # every desk-scale cap raises one error type, the vertex cap included
+    with pytest.raises(ResourceLimitError, match="limited to 500 vertices"):
+        topology_report(complete_graph(501))
 
 
 def test_maximal_cliques_count_cap():
