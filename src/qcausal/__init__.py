@@ -16,10 +16,9 @@ import importlib
 _NAMES = {
     "quantum": """MeasurementRecord Pvm StateVector collapse embed_pvm
         measure_probabilities spin_pvm""",
-    "entanglement": """ChshSettings CorrelationSetting EraserConfig LhvStrategy
-        bell_phi_plus chsh correlation enumerate_lhv_strategies epr_consistency
-        eraser_visibility ghz joint_spin_probabilities lhv_max_chsh maximize_chsh
-        xz_axis""",
+    "entanglement": """ChshSettings EraserConfig bell_phi_plus chsh correlations
+        epr_consistency eraser_visibility ghz joint_spin_probabilities
+        lhv_strategies maximize_chsh xz_axis""",
     "lattice": """CommutatorField ConeProfile LatticeSpec canonical_check
         commutation_graph commutator_table cone_profile pauli_jordan""",
     "topology": """PER_OBSERVABLE SUBFAMILY CommutationGraph FiniteTopology PointSet

@@ -44,8 +44,7 @@ def _cmd_run(args) -> int:
     path = Path(args.file)
     scenario = parse_scenario(path.read_text(encoding="utf-8"))
     report = run_scenario(scenario, args.out, seed_override=args.seed, base_dir=path.parent)
-    stem = scenario.output_path or scenario.kind
-    report_path = Path(args.out) / f"{stem}_report.json"
+    report_path = Path(args.out) / f"{scenario.stem}_report.json"
     emit_json(report_path, report.to_json_dict())
     for name, value in report.metrics.items():
         print(f"metric {name} = {value}")

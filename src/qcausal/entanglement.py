@@ -1,13 +1,14 @@
 """Entangled-pair experiments at desk scale.
 
 Builds the maximally correlated two-spin state, evaluates spin-spin
-correlations and CHSH sums, enumerates deterministic local-hidden-variable
-strategies exhaustively, simulates sequential measurement of both wings,
+correlations and CHSH sums, tabulates the 16 deterministic local
+hidden-variable strategies, simulates sequential measurement of both wings,
 and runs a minimal two-qubit which-path / erasure model (Scully & Druehl,
 Phys. Rev. A 25 (1982) 2208).
 
-Every joint spin table, the CHSH terms and the eraser curve's phases
-included, comes from one Born-rule contraction, `joint_spin_tables`; only
+Every joint spin table comes from one Born-rule contraction,
+`joint_spin_tables`: the correlation table `correlations`, and through it
+the CHSH sums and search, and the eraser curve's phases. Only
 `epr_consistency` samples outcomes and collapses the state.
 """
 
@@ -35,31 +36,6 @@ SAMPLE_CHUNK = 1 << 16  # trials per batch of draws in epr_consistency
 def xz_axis(angle_rad: float) -> np.ndarray:
     """Unit vector in the x-z plane, angle measured from +z."""
     return np.array([math.sin(angle_rad), 0.0, math.cos(angle_rad)])
-
-
-@dataclass(frozen=True)
-class CorrelationSetting:
-    axis_a: np.ndarray
-    axis_b: np.ndarray
-
-    def __post_init__(self):
-        spin_projectors([self.axis_a, self.axis_b])  # both must be unit 3-vectors
-        object.__setattr__(self, "axis_a", np.asarray(self.axis_a, dtype=float))
-        object.__setattr__(self, "axis_b", np.asarray(self.axis_b, dtype=float))
-
-
-@dataclass(frozen=True)
-class LhvStrategy:
-    """Deterministic pre-assignment: (side, setting) -> outcome in {+1, -1}."""
-
-    responses: dict
-
-    def __post_init__(self):
-        expected = {(side, setting) for side in "AB" for setting in (0, 1)}
-        if set(self.responses) != expected:
-            raise ValueError("strategy must assign all four (side, setting) pairs")
-        if any(v not in (+1, -1) for v in self.responses.values()):
-            raise ValueError("outcomes must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -123,17 +99,12 @@ def joint_spin_probabilities(
     return joint_spin_tables(psi, [axis_a], [axis_b], site_a, site_b)[0, 0]
 
 
-def _correlations(psi: StateVector, axes_a, axes_b, site_a: int = 0, site_b: int = 1):
-    """(A, B) correlations E = sum_ab a*b*prob(a, b), from one table call."""
+def correlations(psi: StateVector, axes_a, axes_b, site_a: int = 0, site_b: int = 1):
+    """(A, B) table of correlations E = sum_ab a*b*prob(a, b): [x, y] is the
+    spin-spin correlation of site_a along axes_a[x] and site_b along axes_b[y],
+    from one `joint_spin_tables` call."""
     signs = np.array([+1.0, -1.0])
     return joint_spin_tables(psi, axes_a, axes_b, site_a, site_b) @ signs @ signs
-
-
-def correlation(
-    psi: StateVector, setting: CorrelationSetting, site_a: int = 0, site_b: int = 1
-) -> float:
-    """E = sum_ab a*b*prob(a, b) over the joint spin measurement."""
-    return float(_correlations(psi, [setting.axis_a], [setting.axis_b], site_a, site_b)[0, 0])
 
 
 def chsh(psi: StateVector, a0, a1, b0, b1, signs=(1, 1, 1, -1)) -> float:
@@ -145,7 +116,7 @@ def chsh(psi: StateVector, a0, a1, b0, b1, signs=(1, 1, 1, -1)) -> float:
     """
     if site_count(psi) != 2:
         raise ValueError("CHSH needs a two-site state")
-    terms = _correlations(psi, (a0, a1), (b0, b1))
+    terms = correlations(psi, (a0, a1), (b0, b1))
     return float(sum(s * t for s, t in zip(signs, terms.flat)))
 
 
@@ -155,11 +126,6 @@ class ChshSettings:
     a1_deg: float
     b0_deg: float
     b1_deg: float
-
-    def axes(self):
-        return tuple(
-            xz_axis(math.radians(t)) for t in (self.a0_deg, self.a1_deg, self.b0_deg, self.b1_deg)
-        )
 
 
 def maximize_chsh(psi: StateVector, grid_step_degrees: float):
@@ -177,7 +143,7 @@ def maximize_chsh(psi: StateVector, grid_step_degrees: float):
     rad = np.radians(angles)
     basis = np.stack([np.sin(rad), np.cos(rad)])
     xz = (xz_axis(math.pi / 2), xz_axis(0.0))
-    table = basis.T @ _correlations(psi, xz, xz) @ basis  # E(alpha_i, beta_j)
+    table = basis.T @ correlations(psi, xz, xz) @ basis  # E(alpha_i, beta_j)
 
     best = -math.inf
     best_idx = None
@@ -195,30 +161,19 @@ def maximize_chsh(psi: StateVector, grid_step_degrees: float):
     return settings, best
 
 
-def lhv_chsh_value(strategy: LhvStrategy) -> int:
-    r = strategy.responses
-    return (
-        r[("A", 0)] * r[("B", 0)]
-        + r[("A", 0)] * r[("B", 1)]
-        + r[("A", 1)] * r[("B", 0)]
-        - r[("A", 1)] * r[("B", 1)]
-    )
+def lhv_strategies():
+    """The 16 deterministic local strategies and their CHSH values.
 
-
-def enumerate_lhv_strategies():
-    """All 16 deterministic strategies with their CHSH values."""
-    out = []
-    for ra0, ra1, rb0, rb1 in itertools.product((+1, -1), repeat=4):
-        strategy = LhvStrategy({("A", 0): ra0, ("A", 1): ra1, ("B", 0): rb0, ("B", 1): rb1})
-        out.append((strategy, lhv_chsh_value(strategy)))
-    return out
-
-
-def lhv_max_chsh() -> float:
-    # Shared randomness only mixes deterministic strategies, so the maximum
-    # over all local hidden variable models is attained at one of these 16
-    # vertices (convexity).
-    return float(max(value for _, value in enumerate_lhv_strategies()))
+    Returns a (16, 4) int array of +1/-1 responses (a0, a1, b0, b1), in
+    `itertools.product((+1, -1), repeat=4)` order, and the 16 values
+    a0*b0 + a0*b1 + a1*b0 - a1*b1. Shared randomness only mixes deterministic
+    strategies, so every local hidden-variable model's CHSH sum is a convex
+    combination of these values and its maximum is attained at one of them
+    (Fine, PRL 48 (1982) 291).
+    """
+    responses = np.array(list(itertools.product((+1, -1), repeat=4)))
+    a0, a1, b0, b1 = responses.T
+    return responses, a0 * b0 + a0 * b1 + a1 * b0 - a1 * b1
 
 
 def _collapse_allowed(obs, psi: StateVector) -> list:

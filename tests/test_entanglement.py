@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,21 +8,17 @@ from hypothesis import strategies as st
 
 from qcausal import entanglement
 from qcausal.entanglement import (
-    CorrelationSetting,
     EraserConfig,
-    LhvStrategy,
     bell_phi_plus,
     chsh,
-    correlation,
-    enumerate_lhv_strategies,
+    correlations,
     epr_consistency,
     eraser_curve,
     eraser_visibility,
     ghz,
     joint_spin_probabilities,
     joint_spin_tables,
-    lhv_chsh_value,
-    lhv_max_chsh,
+    lhv_strategies,
     maximize_chsh,
     xz_axis,
 )
@@ -85,13 +82,17 @@ def test_ghz_rejects_single_site():
         ghz(1)
 
 
+def correlation(psi, axis_a, axis_b, site_a=0, site_b=1):
+    return correlations(psi, [axis_a], [axis_b], site_a, site_b)[0, 0]
+
+
 def test_correlation_same_axis_is_perfect():
-    value = correlation(bell_phi_plus(), CorrelationSetting(Z_AXIS, Z_AXIS))
+    value = correlation(bell_phi_plus(), Z_AXIS, Z_AXIS)
     assert abs(value - 1.0) <= 1e-12
 
 
 def test_correlation_orthogonal_axes_vanishes():
-    value = correlation(bell_phi_plus(), CorrelationSetting(Z_AXIS, X_AXIS))
+    value = correlation(bell_phi_plus(), Z_AXIS, X_AXIS)
     assert abs(value) <= 1e-12
 
 
@@ -103,35 +104,59 @@ def test_correlation_matches_independent_expectation():
         a /= np.linalg.norm(a)
         b = rng.normal(size=3)
         b /= np.linalg.norm(b)
-        engine = correlation(phi, CorrelationSetting(a, b))
+        engine = correlation(phi, a, b)
         assert abs(engine - spin_expectation(phi, a, b)) <= 1e-10
         assert abs(engine) <= 1.0 + 1e-12
 
 
 def test_correlation_xz_plane_is_cosine():
-    phi = bell_phi_plus()
-    for alpha_deg in range(0, 360, 7):
-        for beta_deg in range(0, 360, 11):
-            alpha, beta = math.radians(alpha_deg), math.radians(beta_deg)
-            value = correlation(phi, CorrelationSetting(xz_axis(alpha), xz_axis(beta)))
-            assert abs(value - math.cos(alpha - beta)) <= 1e-10
+    alphas = np.radians(np.arange(0, 360, 7))
+    betas = np.radians(np.arange(0, 360, 11))
+    axes_a, axes_b = [xz_axis(a) for a in alphas], [xz_axis(b) for b in betas]
+    table = correlations(bell_phi_plus(), axes_a, axes_b)
+    assert table.shape == (alphas.size, betas.size)
+    for (i, j), value in np.ndenumerate(table):
+        assert abs(value - math.cos(alphas[i] - betas[j])) <= 1e-10
+
+
+AXIS = st.tuples(UNIT, UNIT, UNIT).filter(lambda v: np.linalg.norm(v) > 1e-3).map(
+    lambda v: np.array(v) / np.linalg.norm(v)
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    parts=st.lists(UNIT, min_size=8, max_size=8),
+    axes_a=st.lists(AXIS, min_size=1, max_size=4),
+    axes_b=st.lists(AXIS, min_size=1, max_size=4),
+    swap=st.booleans(),
+)
+def test_correlations_cells_equal_single_pair_calls(parts, axes_a, axes_b, swap):
+    amps = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    assume(np.linalg.norm(amps) > 1e-3)
+    psi = StateVector.normalized(amps)
+    sites = (1, 0) if swap else (0, 1)
+    table = correlations(psi, axes_a, axes_b, *sites)
+    assert table.shape == (len(axes_a), len(axes_b))
+    for (i, j), value in np.ndenumerate(table):
+        assert value == correlations(psi, [axes_a[i]], [axes_b[j]], *sites)[0, 0]
 
 
 def test_correlation_symmetry_under_swap():
     phi = bell_phi_plus()
     a, b = xz_axis(0.3), xz_axis(1.1)
-    direct = correlation(phi, CorrelationSetting(a, b))
-    swapped_setting = correlation(phi, CorrelationSetting(b, a))
-    swapped_sites = correlation(phi, CorrelationSetting(b, a), site_a=1, site_b=0)
+    direct = correlation(phi, a, b)
+    swapped_setting = correlation(phi, b, a)
+    swapped_sites = correlation(phi, b, a, site_a=1, site_b=0)
     assert abs(direct - swapped_setting) <= 1e-12
     assert abs(direct - swapped_sites) <= 1e-12
 
 
 def test_correlation_rejects_bad_sites():
     with pytest.raises(ValueError):
-        correlation(bell_phi_plus(), CorrelationSetting(Z_AXIS, Z_AXIS), site_a=0, site_b=0)
+        correlations(bell_phi_plus(), [Z_AXIS], [Z_AXIS], site_a=0, site_b=0)
     with pytest.raises(ValueError):
-        correlation(bell_phi_plus(), CorrelationSetting(Z_AXIS, Z_AXIS), site_a=0, site_b=2)
+        correlations(bell_phi_plus(), [Z_AXIS], [Z_AXIS], site_a=0, site_b=2)
 
 
 def test_chsh_spec_sign_convention_hits_quantum_optimum():
@@ -185,7 +210,10 @@ def _normalized(amps):
 
 def test_maximize_chsh_settings_reproduce_value():
     settings, best = maximize_chsh(bell_phi_plus(), 5.0)
-    a0, a1, b0, b1 = settings.axes()
+    a0, a1, b0, b1 = (
+        xz_axis(math.radians(d))
+        for d in (settings.a0_deg, settings.a1_deg, settings.b0_deg, settings.b1_deg)
+    )
     assert abs(chsh(bell_phi_plus(), a0, a1, b0, b1) - best) <= 1e-10
 
 
@@ -243,21 +271,22 @@ def test_chsh_requires_two_site_state():
 
 
 def test_lhv_enumeration():
-    strategies = enumerate_lhv_strategies()
-    values = [v for _, v in strategies]
-    assert len(strategies) == 16
-    assert lhv_max_chsh() == 2.0
-    assert max(values) == 2
-    assert min(values) == -2
+    responses, values = lhv_strategies()
+    assert responses.shape == (16, 4) and values.shape == (16,)
+    assert len({tuple(row) for row in responses.tolist()}) == 16
+    assert set(responses.flat) == {+1, -1}
+    assert float(values.max()) == 2.0
+    assert float(values.min()) == -2.0
 
 
-def test_lhv_strategy_validation():
-    with pytest.raises(ValueError):
-        LhvStrategy({("A", 0): 1})
-    with pytest.raises(ValueError):
-        LhvStrategy({("A", 0): 1, ("A", 1): 1, ("B", 0): 1, ("B", 1): 0})
-    strategy = LhvStrategy({("A", 0): 1, ("A", 1): 1, ("B", 0): 1, ("B", 1): -1})
-    assert lhv_chsh_value(strategy) == 2
+def test_lhv_strategy_values_follow_the_chsh_formula():
+    responses, values = lhv_strategies()
+    assert responses.dtype.kind == values.dtype.kind == "i"
+    rows = list(itertools.product((+1, -1), repeat=4))
+    assert responses.tolist() == [list(row) for row in rows]
+    assert values.tolist() == [a0 * b0 + a0 * b1 + a1 * b0 - a1 * b1 for a0, a1, b0, b1 in rows]
+    assert values[rows.index((1, 1, 1, -1))] == 2
+    assert sorted(set(values.tolist())) == [-2, 2]  # a deterministic strategy reaches a bound
 
 
 def test_epr_agreement_exact_on_matching_axes():

@@ -3,6 +3,7 @@ name loads its layer on first use without being cached in the package."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ def test_import_loads_neither_numpy_nor_a_layer():
 
 
 def test_every_name_is_its_home_layers_object():
-    assert len(qcausal.__all__) == 59
+    assert len(qcausal.__all__) == 56
     for layer in LAYERS:
         assert getattr(qcausal, layer) is importlib.import_module(f"qcausal.{layer}")
     for name in set(qcausal.__all__) - set(LAYERS):
@@ -68,3 +69,18 @@ def test_tracing_leaves_no_wrapper_in_the_package():
     assert not set(vars(qcausal)) & set(qcausal._HOME)  # nothing cached
     wrapped = [name for name, value in vars(qcausal).items() if hasattr(value, "__wrapped__")]
     assert wrapped == []
+
+
+def _readme():
+    return (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_python_example_runs():
+    example = re.search(r"```python\n(.*?)```", _readme(), re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+
+
+def test_readme_states_the_public_name_count():
+    stated = re.search(r"binds all (\d+) public\s+names", _readme())
+    assert stated is not None
+    assert int(stated.group(1)) == len(qcausal.__all__)

@@ -181,7 +181,9 @@ NAN_AXIS = (NAN, 0.0, 0.0)
         lambda: MeasurementRecord(((1.0, NAN), (-1.0, 0.5))),
         lambda: spin_pvm(NAN_AXIS),
         lambda: spin_projectors([(0.0, 0.0, 1.0), NAN_AXIS]),
-        lambda: entanglement.CorrelationSetting(NAN_AXIS, (0.0, 0.0, 1.0)),
+        lambda: entanglement.correlations(
+            entanglement.bell_phi_plus(), [NAN_AXIS], [(0.0, 0.0, 1.0)]
+        ),
         lambda: entanglement.joint_spin_tables(
             entanglement.bell_phi_plus(), [NAN_AXIS], [(0.0, 0.0, 1.0)]
         ),
@@ -189,7 +191,7 @@ NAN_AXIS = (NAN, 0.0, 0.0)
     ],
     ids=[
         "state", "normalized", "pvm", "record", "spin_pvm",
-        "spin_projectors", "correlation_setting", "joint_spin_tables", "epr",
+        "spin_projectors", "correlations", "joint_spin_tables", "epr",
     ],
 )
 def test_validators_reject_nan(build):

@@ -18,6 +18,7 @@ from qcausal.scenarios import (
     MAX_PHASE_SAMPLES,
     MAX_TABLE_CELLS,
     ScenarioError,
+    emit_csv,
     emit_json,
     parse_scenario,
     run_scenario,
@@ -336,12 +337,47 @@ def test_eraser_curve_csv_equals_row_by_row_writer(tmp_path, marking, erasure, s
 
 
 def test_output_path_prefixes_artifacts(tmp_path):
-    scenario = parse_scenario(
+    scenario_file = tmp_path / "eraser.scn"
+    scenario_file.write_text(
         "kind = eraser\nmarking = false\nerasure = false\noutputPath = fringe\n"
     )
-    report = run_scenario(scenario, tmp_path)
-    assert report.artifacts == ["fringe_curve.csv"]
-    assert (tmp_path / "fringe_curve.csv").exists()
+    out = tmp_path / "out"
+    assert main(["run", str(scenario_file), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["fringe_curve.csv", "fringe_report.json"]
+    report = json.loads((out / "fringe_report.json").read_text())
+    assert report["artifacts"] == ["fringe_curve.csv"]
+
+
+@pytest.mark.parametrize("prefix", ["ABSOLUTE", "../x", "sub/x", "sub\\x"])
+def test_output_path_must_stay_inside_out(tmp_path, capsys, prefix):
+    if prefix == "ABSOLUTE":
+        prefix = str(tmp_path / "escaped" / "run")
+    scenario_file = tmp_path / "runs" / "eraser.scn"
+    scenario_file.parent.mkdir()
+    scenario_file.write_text(
+        f"kind = eraser\nmarking = false\nerasure = false\noutputPath = {prefix}\n"
+    )
+    out = tmp_path / "runs" / "out"
+    assert main(["run", str(scenario_file), "--out", str(out)]) == 1
+    assert "'outputPath'" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == [scenario_file.parent, scenario_file]
+
+
+ROW_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    header=ROW_TEXT,
+    # An item may hold several rows joined by newlines, as a commutator block does.
+    lines=st.lists(st.lists(ROW_TEXT, min_size=1, max_size=3).map("\n".join), max_size=6),
+)
+def test_emit_csv_writes_the_joined_text(header, lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        streamed, joined = Path(tmp) / "streamed.csv", Path(tmp) / "joined.csv"
+        emit_csv(streamed, header, iter(lines))
+        joined.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        assert streamed.read_bytes() == joined.read_bytes()
 
 
 def test_eps_override_changes_cone(tmp_path):
