@@ -14,9 +14,9 @@ package and leaves nothing behind in it.
 import importlib
 
 _NAMES = {
-    "quantum": """MeasurementRecord Pvm StateVector collapse embed_pvm
-        measure_probabilities spin_pvm""",
-    "entanglement": """ChshSettings EraserConfig bell_phi_plus chsh correlations
+    "quantum": """Pvm StateVector collapse embed_pvm measure_probabilities
+        spin_pvm""",
+    "entanglement": """ChshSettings bell_phi_plus chsh correlations
         epr_consistency eraser_visibility ghz joint_spin_probabilities
         lhv_strategies maximize_chsh xz_axis""",
     "lattice": """CommutatorField ConeProfile LatticeSpec canonical_check

@@ -113,18 +113,14 @@ def _ghz_unanimity(seed):
 
 @_timed(5.0)
 def _eraser_visibility(seed):
-    cases = {
-        "unmarked": (entanglement.EraserConfig(False, False), 1.0),
-        "marked": (entanglement.EraserConfig(True, False), 0.0),
-        "erased": (entanglement.EraserConfig(True, True), 1.0),
-    }
+    # name -> (marking, erasure, expected visibility)
+    cases = {"unmarked": (False, False, 1.0), "marked": (True, False, 0.0),
+             "erased": (True, True, 1.0)}
     measured = {
-        name: entanglement.eraser_visibility(entanglement.eraser_curve(cfg)[1])
-        for name, (cfg, _) in cases.items()
+        name: entanglement.eraser_visibility(entanglement.eraser_curve(marking, erasure)[1])
+        for name, (marking, erasure, _) in cases.items()
     }
-    ok = all(
-        abs(measured[name] - expected) <= 1e-12 for name, (_, expected) in cases.items()
-    )
+    ok = all(abs(measured[name] - want) <= 1e-12 for name, (_, _, want) in cases.items())
     return ok, {"visibility": measured}
 
 

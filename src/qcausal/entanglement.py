@@ -9,7 +9,8 @@ Phys. Rev. A 25 (1982) 2208).
 Every joint spin table comes from one Born-rule contraction,
 `joint_spin_tables`: the correlation table `correlations`, and through it
 the CHSH sums and search, and the eraser curve's phases. Only
-`epr_consistency` samples outcomes and collapses the state.
+`epr_consistency` samples outcomes and collapses the state, addressing each
+branch by its index. `eraser_curve` takes and checks plain arguments.
 """
 
 from __future__ import annotations
@@ -36,17 +37,6 @@ SAMPLE_CHUNK = 1 << 16  # trials per batch of draws in epr_consistency
 def xz_axis(angle_rad: float) -> np.ndarray:
     """Unit vector in the x-z plane, angle measured from +z."""
     return np.array([math.sin(angle_rad), 0.0, math.cos(angle_rad)])
-
-
-@dataclass(frozen=True)
-class EraserConfig:
-    marking: bool
-    erasure: bool
-    phase_samples: int = 16
-
-    def __post_init__(self):
-        if self.phase_samples < 8:
-            raise ValueError("phase_samples must be >= 8")
 
 
 def bell_phi_plus() -> StateVector:
@@ -233,8 +223,8 @@ def epr_consistency(axis, trials: int, seed: int, axis_b=None) -> float:
     return agreements / trials
 
 
-def eraser_curve(cfg: EraserConfig):
-    """Detection probability of the path interference port per phase.
+def eraser_curve(marking: bool, erasure: bool, phase_samples: int = 16):
+    """Path-port detection probability at phase_samples >= 8 phases in [0, 2 pi).
 
     Path qubit (site 0) starts in (|0> + e^{i phi}|1>)/sqrt2; marking copies
     the path onto a marker qubit (site 1) with a CNOT; erasure measures the
@@ -251,16 +241,18 @@ def eraser_curve(cfg: EraserConfig):
     P_k = T[k,0,0] + T[k,0,1] without erasure and
     P_k = T[k,0,0] / (T[k,0,0] + T[k,1,0]) with it.
     """
-    if cfg.erasure and not cfg.marking:
+    if phase_samples < 8:
+        raise ValueError("phase_samples must be >= 8")
+    if erasure and not marking:
         raise ValueError("nothing to erase: erasure requires marking")
-    phases = 2.0 * math.pi * np.arange(cfg.phase_samples) / cfg.phase_samples
-    if cfg.marking:
+    phases = 2.0 * math.pi * np.arange(phase_samples) / phase_samples
+    if marking:
         psi = bell_phi_plus()
     else:
         psi = StateVector(np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2.0))
     ports = np.stack([np.cos(phases), -np.sin(phases), np.zeros_like(phases)], axis=1)
     table = joint_spin_tables(psi, ports, [(1.0, 0.0, 0.0)])[:, 0]
-    if cfg.erasure:
+    if erasure:
         return phases, table[:, 0, 0] / (table[:, 0, 0] + table[:, 1, 0])
     return phases, table[:, 0, 0] + table[:, 0, 1]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+from dataclasses import asdict
 
 from . import causal, lattice, topology
 
@@ -77,9 +78,7 @@ def _three_party_section():
     summary = causal.enumerate_admissible_orientations(events)
     witness = ("e1", "e3")
     return {
-        "events": [
-            {"id": e.id, "t": e.t, "x": list(e.x), "group": e.group} for e in events
-        ],
+        "events": [asdict(e) for e in events],
         "freePairCount": len(summary.free_pairs),
         "orientationCount": summary.orientation_count,
         "admissibleCount": summary.admissible_count,

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,13 +60,10 @@ class LatticeSpec:
             raise ValueError("time step must be positive and finite")
 
 
-@lru_cache(maxsize=32)
 def _mode_tables(sites: int, mass: float):
     n = np.arange(sites)
     momenta = 2.0 * np.pi * n / sites
     omegas = np.sqrt(mass * mass + 4.0 * np.sin(np.pi * n / sites) ** 2)
-    momenta.setflags(write=False)
-    omegas.setflags(write=False)
     return momenta, omegas
 
 

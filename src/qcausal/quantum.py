@@ -7,8 +7,10 @@ summing to the identity), measurement follows the Born rule
     prob(i) = <psi| P_i |psi> = ||P_i psi||^2
 
 and a registered outcome replaces the state by the renormalized
-projection P_i|psi> / ||P_i psi||. Everything is immutable and pure;
-all spaces are finite-dimensional.
+projection P_i|psi> / ||P_i psi||. A branch is its index i in `Pvm.branches`
+throughout (`measure_probabilities`, `collapse`, `born_index`); the labels
+are `Pvm.eigenvalues()`. Everything is immutable and pure; all spaces are
+finite-dimensional, and registers are of spin-1/2 sites.
 
 There is no unitary evolution here: an experiment that rotates its state
 before a measurement rotates the measured axis instead (the Heisenberg
@@ -30,16 +32,6 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def _readonly(values, shape_kind: str) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
-    if shape_kind == "vector" and arr.ndim != 1:
-        raise ValueError(f"expected a 1-d amplitude vector, got shape {arr.shape}")
-    if shape_kind == "matrix" and (arr.ndim != 2 or arr.shape[0] != arr.shape[1]):
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Unit vector of complex amplitudes."""
@@ -47,7 +39,10 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _readonly(self.amplitudes, "vector")
+        amps = np.array(self.amplitudes, dtype=complex)
+        if amps.ndim != 1:
+            raise ValueError(f"expected a 1-d amplitude vector, got shape {amps.shape}")
+        amps.setflags(write=False)
         if amps.size < 1:
             raise ValueError("state must have dimension >= 1")
         norm = np.linalg.norm(amps)
@@ -80,9 +75,13 @@ class Pvm:
     branches: tuple
 
     def __post_init__(self):
-        branches = tuple(
-            (float(value), _readonly(proj, "matrix")) for value, proj in self.branches
-        )
+        branches = []
+        for value, proj in self.branches:
+            proj = np.array(proj, dtype=complex)
+            if proj.ndim != 2 or proj.shape[0] != proj.shape[1]:
+                raise ValueError(f"expected a square matrix, got shape {proj.shape}")
+            proj.setflags(write=False)
+            branches.append((float(value), proj))
         if not branches:
             raise ValueError("observable needs at least one branch")
         dim = branches[0][1].shape[0]
@@ -104,7 +103,7 @@ class Pvm:
         values = [value for value, _ in branches]
         if len(set(values)) != len(values):
             raise ValueError("eigenvalues must be pairwise distinct")
-        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "branches", tuple(branches))
 
     @property
     def dimension(self) -> int:
@@ -114,22 +113,6 @@ class Pvm:
         return tuple(value for value, _ in self.branches)
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementRecord:
-    """Outcome table (eigenvalue, probability) of one projective measurement."""
-
-    outcomes: tuple
-
-    def __post_init__(self):
-        outcomes = tuple((float(v), float(p)) for v, p in self.outcomes)
-        probs = np.array([p for _, p in outcomes])
-        if np.any(probs < -NORM_TOL):
-            raise ValueError("negative branch probability")
-        if not abs(probs.sum() - 1.0) <= STRUCT_TOL:
-            raise ValueError(f"branch probabilities sum to {probs.sum()}, not 1")
-        object.__setattr__(self, "outcomes", outcomes)
-
-
 def _check_dims(obs: Pvm, psi: StateVector) -> None:
     if obs.dimension != psi.dimension:
         raise ValueError(
@@ -137,13 +120,17 @@ def _check_dims(obs: Pvm, psi: StateVector) -> None:
         )
 
 
-def measure_probabilities(obs: Pvm, psi: StateVector) -> MeasurementRecord:
+def measure_probabilities(obs: Pvm, psi: StateVector) -> np.ndarray:
+    """Read-only Born probabilities: entry i is <psi|P_i|psi> for obs.branches[i]."""
     _check_dims(obs, psi)
-    outcomes = []
-    for value, proj in obs.branches:
-        projected = proj @ psi.amplitudes
-        outcomes.append((value, float(np.real(np.vdot(psi.amplitudes, projected)))))
-    return MeasurementRecord(tuple(outcomes))
+    probs = np.array([np.vdot(psi.amplitudes, proj @ psi.amplitudes).real
+                      for _, proj in obs.branches])
+    if np.any(probs < -NORM_TOL):
+        raise ValueError("negative branch probability")
+    if not abs(probs.sum() - 1.0) <= STRUCT_TOL:
+        raise ValueError(f"branch probabilities sum to {probs.sum()}, not 1")
+    probs.setflags(write=False)
+    return probs
 
 
 def collapse(obs: Pvm, branch_index: int, psi: StateVector) -> StateVector:
@@ -161,8 +148,7 @@ def collapse(obs: Pvm, branch_index: int, psi: StateVector) -> StateVector:
 
 def born_cumulative(obs: Pvm, psi: StateVector) -> np.ndarray:
     """Running sum of the Born probabilities, each clipped at 0 first."""
-    record = measure_probabilities(obs, psi)
-    return np.cumsum(np.clip([p for _, p in record.outcomes], 0.0, None))
+    return np.cumsum(np.clip(measure_probabilities(obs, psi), 0.0, None))
 
 
 def born_index(cumulative: np.ndarray, draws):
@@ -193,14 +179,14 @@ def spin_pvm(axis) -> Pvm:
     return Pvm(((+1.0, plus), (-1.0, minus)))
 
 
-def embed_pvm(obs: Pvm, site: int, n_sites: int, site_dim: int = 2) -> Pvm:
-    """Lift a single-site observable to site `site` of an n-site register."""
+def embed_pvm(obs: Pvm, site: int, n_sites: int) -> Pvm:
+    """Lift a spin-1/2 observable to site `site` of an n-site register."""
     if not 0 <= site < n_sites:
         raise ValueError(f"site {site} outside register of {n_sites} sites")
-    if obs.dimension != site_dim:
-        raise ValueError("observable dimension does not match the site dimension")
-    before = np.eye(site_dim**site, dtype=complex)
-    after = np.eye(site_dim ** (n_sites - site - 1), dtype=complex)
+    if obs.dimension != 2:
+        raise ValueError(f"observable dimension {obs.dimension}, but a spin-1/2 site has 2")
+    before = np.eye(2**site, dtype=complex)
+    after = np.eye(2 ** (n_sites - site - 1), dtype=complex)
     branches = tuple(
         (value, np.kron(np.kron(before, proj), after)) for value, proj in obs.branches
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import causal, entanglement, lattice, topology
@@ -189,6 +189,15 @@ SCHEMAS = {
 }
 
 
+# topology source -> the keys it reads; setting another source's key is an error
+SOURCE_KEYS = {
+    "chain": ("chainSlices", "chainSliceSize"),
+    "complete": ("completeSize",),
+    "lattice": ("sites", "mass", "timeSteps", "timeStep", "eps"),
+    "file": ("file",),
+}
+
+
 @dataclass(frozen=True)
 class Scenario:
     kind: str
@@ -250,6 +259,13 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"missing required key {key!r} for kind {kind!r}")
         else:
             parameters[key] = default
+    if kind == "topology":
+        source = parameters["source"]
+        foreign = [k for s, keys in SOURCE_KEYS.items() if s != source for k in keys if k in raw]
+        if foreign:
+            raise ScenarioError(f"key {foreign[0]!r} is not read by source = {source}")
+        if source == "file" and "file" not in raw:
+            raise ScenarioError("source = file needs the 'file' key")
     return Scenario(kind, parameters, seed, output_path)
 
 
@@ -298,14 +314,9 @@ def emit_json(path: Path, obj) -> None:
 
 
 def _echo(value):
-    if isinstance(value, tuple) and all(isinstance(c, (int, float)) for c in value):
-        return list(value)
-    if isinstance(value, tuple) and all(isinstance(e, causal.Event) for e in value):
-        return [
-            {"id": e.id, "t": e.t, "x": list(e.x), "group": e.group} for e in value
-        ]
-    if isinstance(value, tuple):
-        return list(value)
+    """Events as dicts; json writes every tuple as a list."""
+    if isinstance(value, tuple) and value and isinstance(value[0], causal.Event):
+        return [asdict(e) for e in value]
     return value
 
 
@@ -414,15 +425,13 @@ def _run_lhv(params, *, seed, out, stem, base_dir):
 
 def _run_eraser(params, *, seed, out, stem, base_dir):
     _check_size(params["phaseSamples"], "phaseSamples", "phase samples", MAX_PHASE_SAMPLES)
-    cfg = entanglement.EraserConfig(
-        params["marking"], params["erasure"], params["phaseSamples"]
-    )
-    phases, probs = entanglement.eraser_curve(cfg)
+    marking, erasure = params["marking"], params["erasure"]
+    phases, probs = entanglement.eraser_curve(marking, erasure, params["phaseSamples"])
     visibility = entanglement.eraser_visibility(probs)
     if params["expectedVisibility"] is not None:
         expected = params["expectedVisibility"]
     else:
-        expected = 1.0 if not cfg.marking or cfg.erasure else 0.0
+        expected = 1.0 if not marking or erasure else 0.0
     curve_path = f"{stem}_curve.csv"
     emit_csv(
         out / curve_path,
@@ -518,8 +527,6 @@ def _build_graph(params, base_dir):
             params["sites"], params["mass"], params["timeSteps"], params["timeStep"]
         )
         return lattice.commutation_graph(spec, params["eps"]), keys
-    if params["file"] is None:
-        raise ScenarioError("source = file needs the 'file' key")
     path = Path(params["file"])
     if base_dir is not None and not path.is_absolute():
         path = Path(base_dir) / path

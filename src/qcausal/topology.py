@@ -246,7 +246,6 @@ class FiniteTopology:
     """
 
     point_count: int
-    subbasis: tuple
     minimal_open_sets: tuple
     open_set_count: int
     size_cap_hit: bool
@@ -368,7 +367,7 @@ def generate_topology(
             break
         down_sets, covered, prefix = grown, covered | u, prefix | 1 << i
     open_set_count = down_sets + (covered != full)
-    return FiniteTopology(point_count, tuple(masks), tuple(minimal), open_set_count, cap_hit)
+    return FiniteTopology(point_count, tuple(minimal), open_set_count, cap_hit)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qcausal import entanglement
 from qcausal.entanglement import (
-    EraserConfig,
     bell_phi_plus,
     chsh,
     correlations,
@@ -469,41 +468,37 @@ def test_no_signaling_marginals_subgrid():
 
 
 def test_eraser_visibilities():
-    for cfg, expected in (
-        (EraserConfig(False, False), 1.0),
-        (EraserConfig(True, False), 0.0),
-        (EraserConfig(True, True), 1.0),
-    ):
-        assert abs(eraser_visibility(eraser_curve(cfg)[1]) - expected) <= 1e-12
+    for marking, erasure, expected in ((False, False, 1.0), (True, False, 0.0), (True, True, 1.0)):
+        assert abs(eraser_visibility(eraser_curve(marking, erasure)[1]) - expected) <= 1e-12
 
 
 def test_eraser_curve_shape_and_fringe():
-    phases, probs = eraser_curve(EraserConfig(False, False, phase_samples=32))
+    phases, probs = eraser_curve(False, False, phase_samples=32)
     assert phases.shape == probs.shape == (32,)
     assert np.allclose(probs, np.cos(phases / 2) ** 2, atol=1e-12)
 
 
 def test_eraser_marked_curve_is_flat():
-    _, probs = eraser_curve(EraserConfig(True, False))
+    _, probs = eraser_curve(True, False)
     assert np.allclose(probs, 0.5, atol=1e-12)
 
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 
 
-def eraser_curve_per_phase(cfg):
+def eraser_curve_per_phase(marking, erasure, phase_samples):
     """Slow definition: per phase, build path x marker, apply the CNOT, collapse
     the marker onto +x if erasing, then read the path port's +x probability."""
     path_port = embed_pvm(spin_pvm(X_AXIS), 0, 2)
     marker_port = embed_pvm(spin_pvm(X_AXIS), 1, 2)
-    phases = 2.0 * math.pi * np.arange(cfg.phase_samples) / cfg.phase_samples
+    phases = 2.0 * math.pi * np.arange(phase_samples) / phase_samples
     probs = []
     for phi in phases:
         amps = np.kron(np.array([1.0, np.exp(1j * phi)]) / math.sqrt(2.0), [1.0, 0.0])
-        psi = StateVector(CNOT @ amps if cfg.marking else amps)
-        if cfg.erasure:
+        psi = StateVector(CNOT @ amps if marking else amps)
+        if erasure:
             psi = collapse(marker_port, 0, psi)
-        probs.append(dict(measure_probabilities(path_port, psi).outcomes)[+1.0])
+        probs.append(measure_probabilities(path_port, psi)[0])
     return phases, np.array(probs)
 
 
@@ -513,9 +508,8 @@ def eraser_curve_per_phase(cfg):
     st.integers(8, 4096),
 )
 def test_eraser_curve_matches_per_phase_definition(config, samples):
-    cfg = EraserConfig(*config, phase_samples=samples)
-    phases, probs = eraser_curve(cfg)
-    ref_phases, ref_probs = eraser_curve_per_phase(cfg)
+    phases, probs = eraser_curve(*config, phase_samples=samples)
+    ref_phases, ref_probs = eraser_curve_per_phase(*config, samples)
     assert np.array_equal(phases, ref_phases)
     assert probs.shape == ref_probs.shape
     assert np.max(np.abs(probs - ref_probs)) <= 1e-15
@@ -523,12 +517,13 @@ def test_eraser_curve_matches_per_phase_definition(config, samples):
 
 def test_eraser_rejects_erasure_without_marking():
     with pytest.raises(ValueError, match="nothing to erase"):
-        eraser_curve(EraserConfig(False, True))
+        eraser_curve(False, True)
 
 
 def test_eraser_rejects_few_samples():
-    with pytest.raises(ValueError):
-        EraserConfig(False, False, phase_samples=4)
+    with pytest.raises(ValueError, match="phase_samples must be >= 8"):
+        eraser_curve(False, False, phase_samples=7)
+    assert eraser_curve(False, False, phase_samples=8)[0].size == 8
 
 
 def test_ghz_single_site_collapse_forces_unanimity():
@@ -542,5 +537,5 @@ def test_ghz_single_site_collapse_forces_unanimity():
             for other in range(3):
                 if other == site:
                     continue
-                record = measure_probabilities(embed_pvm(z, other, 3), collapsed)
-                assert abs(record.outcomes[branch][1] - 1.0) <= 1e-12
+                probs = measure_probabilities(embed_pvm(z, other, 3), collapsed)
+                assert abs(probs[branch] - 1.0) <= 1e-12

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcausal import entanglement
 from qcausal.quantum import (
-    MeasurementRecord,
     Pvm,
     StateVector,
     born_cumulative,
@@ -38,21 +39,23 @@ def test_state_vector_rejects_empty():
 
 
 def test_measure_eigenstate():
-    record = measure_probabilities(Z, UP)
-    assert record.outcomes == ((1.0, 1.0), (-1.0, 0.0))
+    probs = measure_probabilities(Z, UP)
+    assert probs.tolist() == [1.0, 0.0]
+    assert Z.eigenvalues() == (1.0, -1.0)
+    assert not probs.flags.writeable
 
 
 def test_measure_equal_superposition():
-    probs = dict(measure_probabilities(Z, PLUS).outcomes)
-    assert abs(probs[1.0] - 0.5) <= 1e-12
-    assert abs(probs[-1.0] - 0.5) <= 1e-12
+    probs = measure_probabilities(Z, PLUS)
+    assert abs(probs[0] - 0.5) <= 1e-12
+    assert abs(probs[1] - 0.5) <= 1e-12
 
 
 def test_measure_x_axis_on_up():
     # oracle: P = (I + sigma_x)/2 has every entry 1/2, so <u|P|u> = 1/2
-    probs = dict(measure_probabilities(X, UP).outcomes)
-    assert abs(probs[1.0] - 0.5) <= 1e-12
-    assert abs(probs[-1.0] - 0.5) <= 1e-12
+    probs = measure_probabilities(X, UP)
+    assert abs(probs[0] - 0.5) <= 1e-12
+    assert abs(probs[1] - 0.5) <= 1e-12
 
 
 def test_probability_conservation_random():
@@ -60,8 +63,33 @@ def test_probability_conservation_random():
     for _ in range(50):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        record = measure_probabilities(spin_pvm(axis), random_state(rng, 2))
-        assert abs(sum(p for _, p in record.outcomes) - 1.0) <= 1e-10
+        probs = measure_probabilities(spin_pvm(axis), random_state(rng, 2))
+        assert abs(sum(probs) - 1.0) <= 1e-10
+
+
+UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, n - 1),
+        st.lists(st.tuples(UNIT, UNIT), min_size=2**n, max_size=2**n),
+    )),
+    st.tuples(UNIT, UNIT, UNIT),
+)
+def test_measure_probabilities_are_the_born_rule_per_branch(register, axis):
+    n_sites, site, amps = register
+    axis = np.array(axis)
+    assume(np.linalg.norm(axis) >= 1e-3 and np.linalg.norm(amps) >= 1e-3)
+    obs = embed_pvm(spin_pvm(axis / np.linalg.norm(axis)), site, n_sites)
+    psi = StateVector.normalized([complex(re, im) for re, im in amps])
+    probs = measure_probabilities(obs, psi)
+    # the definition entry by entry, and the running sum of the clipped entries
+    expected = [float(np.real(np.vdot(psi.amplitudes, proj @ psi.amplitudes)))
+                for _, proj in obs.branches]
+    assert probs.tolist() == expected
+    assert np.array_equal(born_cumulative(obs, psi), np.cumsum(np.clip(expected, 0.0, None)))
 
 
 def test_collapse_projects_superposition():
@@ -91,11 +119,10 @@ def test_collapse_consistency():
         axis /= np.linalg.norm(axis)
         obs = spin_pvm(axis)
         state = random_state(rng, 2)
-        record = measure_probabilities(obs, state)
-        for index, (_, prob) in enumerate(record.outcomes):
+        for index, prob in enumerate(measure_probabilities(obs, state)):
             if prob > 1e-6:
                 again = measure_probabilities(obs, collapse(obs, index, state))
-                assert abs(again.outcomes[index][1] - 1.0) <= 1e-12
+                assert abs(again[index] - 1.0) <= 1e-12
 
 
 def test_interference_differs_from_classical_mixture():
@@ -161,11 +188,28 @@ def test_pvm_rejects_broken_structure():
         Pvm(((1.0, np.array([[1.0, 1.0], [0.0, 0.0]])),))
 
 
-def test_measurement_record_validation():
-    with pytest.raises(ValueError):
-        MeasurementRecord(((1.0, 0.7), (-1.0, 0.7)))
-    with pytest.raises(ValueError):
-        MeasurementRecord(((1.0, 1.1), (-1.0, -0.1)))
+# Pvms that pass every structure check at its 1e-10 tolerance, yet give Born
+# probabilities outside the ones measure_probabilities accepts.
+EPS = 9e-11
+
+
+def test_measure_probabilities_rejects_a_negative_branch():
+    # P0 = diag(-eps, 1), P1 = diag(1 + eps, 0): Hermitian, complete, and
+    # idempotent and orthogonal within eps + eps^2. On |0> branch 0 has
+    # probability -eps, below -NORM_TOL = -1e-12.
+    obs = Pvm(((1.0, np.diag([-EPS, 1.0])), (-1.0, np.diag([1.0 + EPS, 0.0]))))
+    with pytest.raises(ValueError, match="negative branch probability"):
+        measure_probabilities(obs, UP)
+    assert measure_probabilities(obs, DOWN).tolist() == [1.0, 0.0]
+
+
+def test_measure_probabilities_rejects_a_sum_off_one():
+    # one branch I + eps*J on 3 dimensions, J all ones: <u|J|u> = 3 on the
+    # uniform state u, so the probabilities sum to 1 + 3 eps
+    obs = Pvm(((1.0, np.eye(3) + EPS * np.ones((3, 3))),))
+    with pytest.raises(ValueError, match="branch probabilities sum to 1.00000000027"):
+        measure_probabilities(obs, StateVector.normalized([1, 1, 1]))
+    assert measure_probabilities(obs, StateVector([1, 0, 0])).tolist() == [1.0 + EPS]
 
 
 NAN = float("nan")
@@ -178,7 +222,6 @@ NAN_AXIS = (NAN, 0.0, 0.0)
         lambda: StateVector([NAN, 0.0]),
         lambda: StateVector.normalized([NAN, 1.0]),
         lambda: Pvm(((1.0, [[NAN, 0.0], [0.0, 0.0]]), (-1.0, [[0.0, 0.0], [0.0, 1.0]]))),
-        lambda: MeasurementRecord(((1.0, NAN), (-1.0, 0.5))),
         lambda: spin_pvm(NAN_AXIS),
         lambda: spin_projectors([(0.0, 0.0, 1.0), NAN_AXIS]),
         lambda: entanglement.correlations(
@@ -190,7 +233,7 @@ NAN_AXIS = (NAN, 0.0, 0.0)
         lambda: entanglement.epr_consistency(NAN_AXIS, 10, 1),
     ],
     ids=[
-        "state", "normalized", "pvm", "record", "spin_pvm",
+        "state", "normalized", "pvm", "spin_pvm",
         "spin_projectors", "correlations", "joint_spin_tables", "epr",
     ],
 )
@@ -219,3 +262,5 @@ def test_embed_pvm_lifts_projectors():
     assert np.allclose(lifted_site1.branches[0][1], np.diag([1, 0, 1, 0]), atol=1e-15)
     with pytest.raises(ValueError):
         embed_pvm(Z, 2, 2)
+    with pytest.raises(ValueError, match="spin-1/2"):
+        embed_pvm(Pvm(((1.0, np.eye(3)),)), 0, 2)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from qcausal.scenarios import (
     MAX_ORDER_EVENTS,
     MAX_PHASE_SAMPLES,
     MAX_TABLE_CELLS,
+    SOURCE_KEYS,
     ScenarioError,
     emit_csv,
     emit_json,
@@ -224,9 +226,9 @@ def test_eraser_run_computes_the_curve_once(tmp_path, monkeypatch):
     calls = []
     curve = qcausal.entanglement.eraser_curve
 
-    def counted(cfg):
-        calls.append(cfg)
-        return curve(cfg)
+    def counted(*args):
+        calls.append(args)
+        return curve(*args)
 
     monkeypatch.setattr(qcausal.entanglement, "eraser_curve", counted)
     report = run_scenario(
@@ -325,11 +327,11 @@ def test_cone_narrower_than_one_site_reports_and_fails_speed(tmp_path):
 
 @pytest.mark.parametrize("marking, erasure, samples", [(True, False, 9), (False, False, 16)])
 def test_eraser_curve_csv_equals_row_by_row_writer(tmp_path, marking, erasure, samples):
-    from qcausal.entanglement import EraserConfig, eraser_curve
+    from qcausal.entanglement import eraser_curve
 
     text = f"kind = eraser\nmarking = {marking}\nerasure = {erasure}\nphaseSamples = {samples}\n"
     run_scenario(parse_scenario(text), tmp_path / "run")
-    phases, probs = eraser_curve(EraserConfig(marking, erasure, samples))
+    phases, probs = eraser_curve(marking, erasure, samples)
     rows = zip(phases.tolist(), probs.tolist())
     reference_emit_csv(tmp_path / "curve.csv", "phi,probability", rows)
     written = (tmp_path / "run" / "eraser_curve.csv").read_bytes()
@@ -446,6 +448,66 @@ def test_topology_file_source_relative_to_scenario(tmp_path):
     assert main(["run", str(scenario_file), "--out", str(tmp_path / "out")]) == 0
     payload = json.loads((tmp_path / "out" / "topology_topology.json").read_text())
     assert payload["cliques"] == [["a", "b"], ["b", "c"]]
+
+
+# a valid value for each topology source key
+SOURCE_KEY_VALUES = {
+    "chainSlices": "2", "chainSliceSize": "2", "completeSize": "3", "sites": "8",
+    "mass": "1.0", "timeSteps": "4", "timeStep": "1.0", "eps": "1e-3", "file": "g.txt",
+}
+
+
+@pytest.mark.parametrize("source", sorted(SOURCE_KEYS))
+def test_topology_rejects_other_sources_keys(tmp_path, capsys, source):
+    (tmp_path / "g.txt").write_text("a b\n")
+    own = "".join(f"{key} = {SOURCE_KEY_VALUES[key]}\n" for key in SOURCE_KEYS[source])
+    scenario_file = tmp_path / "topo.scn"
+    out = tmp_path / "out"
+    for other, keys in SOURCE_KEYS.items():
+        for key in keys if other != source else ():
+            scenario_file.write_text(
+                f"kind = topology\nsource = {source}\n{own}{key} = {SOURCE_KEY_VALUES[key]}\n"
+            )
+            assert main(["run", str(scenario_file), "--out", str(out)]) == 1, key
+            assert f"{key!r} is not read by source = {source}" in capsys.readouterr().err
+            assert not out.exists()
+    scenario_file.write_text(f"kind = topology\nsource = {source}\n{own}")
+    assert main(["run", str(scenario_file), "--out", str(out)]) == 0
+
+
+def test_topology_file_source_requires_file(tmp_path, capsys):
+    scenario_file = tmp_path / "topo.scn"
+    scenario_file.write_text("kind = topology\nsource = file\n")
+    out = tmp_path / "out"
+    assert main(["run", str(scenario_file), "--out", str(out)]) == 1
+    assert "needs the 'file' key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_benchmark_and_shipped_scenarios_parse(tmp_path, monkeypatch):
+    """Every scenario text the benchmark writes, criterion 12 runs and
+    scenarios/ ships parses, so a stricter schema cannot silently break them."""
+    from qcausal.checks import _DETERMINISM_SCENARIOS
+
+    spec = importlib.util.spec_from_file_location(
+        "workloads", REPO_ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    texts = {
+        f"perfbench {name} {item.name}": item.scenario
+        for name in workloads.WORKLOADS
+        for item in workloads.generate(name, 3, tmp_path / name)
+        if item.scenario  # battery's `qcausal check` call has no scenario file
+    }
+    texts.update((f"criterion 12 {kind}", text) for kind, text in _DETERMINISM_SCENARIOS.items())
+    texts.update((f"scenarios/{path.name}", path.read_text()) for path in SCENARIO_DIR.glob("*.scn"))
+    for name, text in texts.items():
+        try:
+            parse_scenario(text)
+        except ScenarioError as err:
+            pytest.fail(f"{name}: {err}")
 
 
 def test_earliest_first_policy(tmp_path):
