@@ -14,8 +14,7 @@ package and leaves nothing behind in it.
 import importlib
 
 _NAMES = {
-    "quantum": """Pvm StateVector collapse embed_pvm measure_probabilities
-        spin_pvm""",
+    "quantum": "StateVector collapse measure_probabilities",
     "entanglement": """ChshSettings bell_phi_plus chsh correlations
         epr_consistency eraser_visibility ghz joint_spin_probabilities
         lhv_strategies maximize_chsh xz_axis""",

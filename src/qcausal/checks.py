@@ -103,9 +103,8 @@ def _ghz_unanimity(seed):
     worst = 1.0
     for site in range(3):
         others = [s for s in range(3) if s != site]
-        z_at_site = quantum.embed_pvm(quantum.spin_pvm(z_axis), site, 3)
         for branch in (0, 1):
-            collapsed = quantum.collapse(z_at_site, branch, psi)
+            collapsed = quantum.collapse(psi, site, z_axis, branch)
             joint = entanglement.joint_spin_probabilities(collapsed, z_axis, z_axis, *others)
             worst = min(worst, float(joint[branch, branch]))
     return abs(worst - 1.0) <= 1e-12, {"worstUnanimousProbability": worst}

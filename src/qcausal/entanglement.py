@@ -9,8 +9,8 @@ Phys. Rev. A 25 (1982) 2208).
 Every joint spin table comes from one Born-rule contraction,
 `joint_spin_tables`: the correlation table `correlations`, and through it
 the CHSH sums and search, and the eraser curve's phases. Only
-`epr_consistency` samples outcomes and collapses the state, addressing each
-branch by its index. `eraser_curve` takes and checks plain arguments.
+`epr_consistency` samples outcomes and collapses the state, by site through
+the same spin projectors. `eraser_curve` takes and checks plain arguments.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantum import (
+    NORM_TOL,
     StateVector,
-    born_cumulative,
     born_index,
     collapse,
-    embed_pvm,
+    measure_probabilities,
+    site_count,
     spin_projectors,
-    spin_pvm,
 )
 
 SAMPLE_CHUNK = 1 << 16  # trials per batch of draws in epr_consistency
@@ -52,13 +52,6 @@ def ghz(n: int) -> StateVector:
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
     return StateVector(amps)
-
-
-def site_count(psi: StateVector) -> int:
-    n = psi.dimension.bit_length() - 1
-    if 2**n != psi.dimension:
-        raise ValueError(f"dimension {psi.dimension} is not a register of spin-1/2 sites")
-    return n
 
 
 def joint_spin_tables(
@@ -166,19 +159,6 @@ def lhv_strategies():
     return responses, a0 * b0 + a0 * b1 + a1 * b0 - a1 * b1
 
 
-def _collapse_allowed(obs, psi: StateVector) -> list:
-    """Per branch: does `collapse` accept it (probability above NORM_TOL)?"""
-    allowed = []
-    for index in range(len(obs.branches)):
-        try:
-            collapse(obs, index, psi)
-        except ValueError:
-            allowed.append(False)
-        else:
-            allowed.append(True)
-    return allowed
-
-
 def epr_consistency(axis, trials: int, seed: int, axis_b=None) -> float:
     """Fraction of agreeing outcome pairs under sequential measurement.
 
@@ -195,14 +175,14 @@ def epr_consistency(axis, trials: int, seed: int, axis_b=None) -> float:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    pvm_a = embed_pvm(spin_pvm(axis), 0, 2)
-    pvm_b = embed_pvm(spin_pvm(axis if axis_b is None else axis_b), 1, 2)
+    axis_b = axis if axis_b is None else axis_b
     psi = bell_phi_plus()
-    cum_a = born_cumulative(pvm_a, psi)
+    cum_a = np.cumsum(measure_probabilities(psi, 0, axis))
     # A's marginal on the pair is 1/2 per branch, so both collapses exist.
-    after_a = [collapse(pvm_a, index, psi) for index in range(cum_a.size)]
-    cum_b = [born_cumulative(pvm_b, state) for state in after_a]
-    allowed_b = np.array([_collapse_allowed(pvm_b, state) for state in after_a])
+    after_a = [collapse(psi, 0, axis, branch) for branch in (0, 1)]
+    probs_b = np.array([measure_probabilities(state, 1, axis_b) for state in after_a])
+    cum_b = np.cumsum(probs_b, axis=1)
+    allowed_b = probs_b > NORM_TOL  # collapse's own test on the same numbers
 
     rng = np.random.default_rng(seed)
     agreements = 0
@@ -218,7 +198,7 @@ def epr_consistency(axis, trials: int, seed: int, axis_b=None) -> float:
         if rejected.any():
             k = int(np.argmax(rejected))
             # Replay the first rejected trial to raise collapse's own error.
-            collapse(pvm_b, int(idx_b[k]), after_a[idx_a[k]])
+            collapse(after_a[idx_a[k]], 1, axis_b, int(idx_b[k]))
         agreements += int(np.count_nonzero(idx_a == idx_b))
     return agreements / trials
 

@@ -175,7 +175,6 @@ class ConeProfile:
 
     per_time_extent: tuple
     fitted_speed: float
-    eps: float
 
     def __post_init__(self):
         if any(extent < 0 for _, extent in self.per_time_extent):
@@ -212,4 +211,4 @@ def cone_profile(table: CommutatorField, eps: float) -> ConeProfile:
     dts = steps * spec.time_step
     rise = len(steps) * int(steps @ extents) - int(steps.sum()) * int(extents.sum())
     speed = float(np.polyfit(dts, extents.astype(float), 1)[0]) if rise else 0.0
-    return ConeProfile(tuple(zip(dts.tolist(), extents.tolist())), speed, eps)
+    return ConeProfile(tuple(zip(dts.tolist(), extents.tolist())), speed)

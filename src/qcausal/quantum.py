@@ -1,16 +1,17 @@
-"""Finite-dimensional state-vector engine.
+"""State-vector engine for registers of spin-1/2 sites.
 
-States are unit vectors, observables are projector-valued measures
-(lists of (eigenvalue, projector) pairs with orthogonal projectors
-summing to the identity), measurement follows the Born rule
+States are unit vectors of 2^n amplitudes, site 0 being the leading tensor
+factor. A spin measurement at one site along a unit 3-vector n has the
+projectors P_0, P_1 = (I +- n.sigma)/2 for the outcomes +1, -1. It follows
+the Born rule
 
-    prob(i) = <psi| P_i |psi> = ||P_i psi||^2
+    prob(i) = ||P_i psi||^2
 
 and a registered outcome replaces the state by the renormalized
-projection P_i|psi> / ||P_i psi||. A branch is its index i in `Pvm.branches`
-throughout (`measure_probabilities`, `collapse`, `born_index`); the labels
-are `Pvm.eigenvalues()`. Everything is immutable and pure; all spaces are
-finite-dimensional, and registers are of spin-1/2 sites.
+projection P_i|psi> / ||P_i psi||. A branch is its index i throughout
+(`measure_probabilities`, `collapse`, `born_index`). P_i acts on its own
+site's axis of the amplitudes, so no operator on the whole register is
+built. Everything is immutable and pure.
 
 There is no unitary evolution here: an experiment that rotates its state
 before a measurement rotates the measured axis instead (the Heisenberg
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 NORM_TOL = 1e-12    # unit-norm and degenerate-branch tolerance
-STRUCT_TOL = 1e-10  # projector structure tolerance
+STRUCT_TOL = 1e-10  # unit-axis and probability-sum tolerance
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -64,99 +65,12 @@ class StateVector:
         return cls(arr / norm)
 
 
-@dataclass(frozen=True, eq=False)
-class Pvm:
-    """Projective observable: (eigenvalue, projector) branches.
-
-    Projectors must be Hermitian, idempotent, mutually orthogonal and
-    complete; eigenvalues must be pairwise distinct.
-    """
-
-    branches: tuple
-
-    def __post_init__(self):
-        branches = []
-        for value, proj in self.branches:
-            proj = np.array(proj, dtype=complex)
-            if proj.ndim != 2 or proj.shape[0] != proj.shape[1]:
-                raise ValueError(f"expected a square matrix, got shape {proj.shape}")
-            proj.setflags(write=False)
-            branches.append((float(value), proj))
-        if not branches:
-            raise ValueError("observable needs at least one branch")
-        dim = branches[0][1].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for value, proj in branches:
-            if proj.shape[0] != dim:
-                raise ValueError("all projectors must share one dimension")
-            if not np.max(np.abs(proj - proj.conj().T)) <= STRUCT_TOL:
-                raise ValueError(f"projector for eigenvalue {value} is not Hermitian")
-            if not np.max(np.abs(proj @ proj - proj)) <= STRUCT_TOL:
-                raise ValueError(f"projector for eigenvalue {value} is not idempotent")
-            total += proj
-        for i, (_, pi) in enumerate(branches):
-            for _, pj in branches[i + 1 :]:
-                if not np.max(np.abs(pi @ pj)) <= STRUCT_TOL:
-                    raise ValueError("projectors of distinct branches must be orthogonal")
-        if not np.max(np.abs(total - np.eye(dim))) <= STRUCT_TOL:
-            raise ValueError("projectors must sum to the identity")
-        values = [value for value, _ in branches]
-        if len(set(values)) != len(values):
-            raise ValueError("eigenvalues must be pairwise distinct")
-        object.__setattr__(self, "branches", tuple(branches))
-
-    @property
-    def dimension(self) -> int:
-        return self.branches[0][1].shape[0]
-
-    def eigenvalues(self) -> tuple:
-        return tuple(value for value, _ in self.branches)
-
-
-def _check_dims(obs: Pvm, psi: StateVector) -> None:
-    if obs.dimension != psi.dimension:
-        raise ValueError(
-            f"observable dimension {obs.dimension} does not match state dimension {psi.dimension}"
-        )
-
-
-def measure_probabilities(obs: Pvm, psi: StateVector) -> np.ndarray:
-    """Read-only Born probabilities: entry i is <psi|P_i|psi> for obs.branches[i]."""
-    _check_dims(obs, psi)
-    probs = np.array([np.vdot(psi.amplitudes, proj @ psi.amplitudes).real
-                      for _, proj in obs.branches])
-    if np.any(probs < -NORM_TOL):
-        raise ValueError("negative branch probability")
-    if not abs(probs.sum() - 1.0) <= STRUCT_TOL:
-        raise ValueError(f"branch probabilities sum to {probs.sum()}, not 1")
-    probs.setflags(write=False)
-    return probs
-
-
-def collapse(obs: Pvm, branch_index: int, psi: StateVector) -> StateVector:
-    """Renormalized projection onto the given branch."""
-    _check_dims(obs, psi)
-    _, proj = obs.branches[branch_index]
-    projected = proj @ psi.amplitudes
-    prob = float(np.real(np.vdot(projected, projected)))
-    if prob <= NORM_TOL:
-        raise ValueError(
-            f"branch {branch_index} has probability {prob}; collapse onto an impossible outcome"
-        )
-    return StateVector(projected / np.sqrt(prob))
-
-
-def born_cumulative(obs: Pvm, psi: StateVector) -> np.ndarray:
-    """Running sum of the Born probabilities, each clipped at 0 first."""
-    return np.cumsum(np.clip(measure_probabilities(obs, psi), 0.0, None))
-
-
-def born_index(cumulative: np.ndarray, draws):
-    """Branch index for uniform draws in [0, 1): the first branch whose running
-    sum exceeds the draw, clamped to the last branch when rounding leaves the
-    total just below 1. Works on one draw or an array of them.
-    """
-    return np.minimum(np.searchsorted(cumulative, draws, side="right"), cumulative.size - 1)
+def site_count(psi: StateVector) -> int:
+    """Number of spin-1/2 sites in the register that psi lives on."""
+    n = psi.dimension.bit_length() - 1
+    if 2**n != psi.dimension:
+        raise ValueError(f"dimension {psi.dimension} is not a register of spin-1/2 sites")
+    return n
 
 
 def spin_projectors(axes) -> np.ndarray:
@@ -173,21 +87,44 @@ def spin_projectors(axes) -> np.ndarray:
     return np.stack([(np.eye(2) + n_sigma) / 2, (np.eye(2) - n_sigma) / 2], axis=1)
 
 
-def spin_pvm(axis) -> Pvm:
-    """Spin observable along a unit 3-vector, from `spin_projectors`."""
-    plus, minus = spin_projectors([axis])[0]
-    return Pvm(((+1.0, plus), (-1.0, minus)))
+def _projections(psi: StateVector, site: int, axis):
+    """P_0 psi, P_1 psi for the spin along `axis` at `site`, as the rows of a
+    (2, dimension) array, and their squared norms. P_i acts on the middle axis
+    of the amplitudes reshaped to (2^site, 2, rest)."""
+    n = site_count(psi)
+    if not 0 <= site < n:
+        raise ValueError(f"site {site} outside register of {n} sites")
+    amps = psi.amplitudes.reshape(2**site, 2, -1)
+    projected = (spin_projectors([axis])[0][:, None] @ amps).reshape(2, -1)
+    return projected, np.array([np.vdot(v, v).real for v in projected])
 
 
-def embed_pvm(obs: Pvm, site: int, n_sites: int) -> Pvm:
-    """Lift a spin-1/2 observable to site `site` of an n-site register."""
-    if not 0 <= site < n_sites:
-        raise ValueError(f"site {site} outside register of {n_sites} sites")
-    if obs.dimension != 2:
-        raise ValueError(f"observable dimension {obs.dimension}, but a spin-1/2 site has 2")
-    before = np.eye(2**site, dtype=complex)
-    after = np.eye(2 ** (n_sites - site - 1), dtype=complex)
-    branches = tuple(
-        (value, np.kron(np.kron(before, proj), after)) for value, proj in obs.branches
-    )
-    return Pvm(branches)
+def measure_probabilities(psi: StateVector, site: int, axis) -> np.ndarray:
+    """Read-only Born probabilities [P(+1), P(-1)] of the spin along `axis` at `site`."""
+    _, probs = _projections(psi, site, axis)
+    if not abs(probs.sum() - 1.0) <= STRUCT_TOL:
+        raise ValueError(f"branch probabilities sum to {probs.sum()}, not 1")
+    probs.setflags(write=False)
+    return probs
+
+
+def collapse(psi: StateVector, site: int, axis, branch: int) -> StateVector:
+    """Renormalized projection onto outcome `branch` (0/1 for +1/-1) of the
+    spin along `axis` at `site`."""
+    if branch not in (0, 1):
+        raise ValueError(f"branch must be 0 (+1) or 1 (-1), got {branch}")
+    projected, probs = _projections(psi, site, axis)
+    prob = float(probs[branch])
+    if prob <= NORM_TOL:
+        raise ValueError(
+            f"branch {branch} has probability {prob}; collapse onto an impossible outcome"
+        )
+    return StateVector(projected[branch] / np.sqrt(prob))
+
+
+def born_index(cumulative: np.ndarray, draws):
+    """Branch index for uniform draws in [0, 1): the first branch whose running
+    sum exceeds the draw, clamped to the last branch when rounding leaves the
+    total just below 1. Works on one draw or an array of them.
+    """
+    return np.minimum(np.searchsorted(cumulative, draws, side="right"), cumulative.size - 1)

@@ -261,11 +261,14 @@ def parse_scenario(text: str) -> Scenario:
             parameters[key] = default
     if kind == "topology":
         source = parameters["source"]
-        foreign = [k for s, keys in SOURCE_KEYS.items() if s != source for k in keys if k in raw]
-        if foreign:
-            raise ScenarioError(f"key {foreign[0]!r} is not read by source = {source}")
+        foreign = [k for s, keys in SOURCE_KEYS.items() if s != source for k in keys]
+        given = [k for k in foreign if k in raw]
+        if given:
+            raise ScenarioError(f"key {given[0]!r} is not read by source = {source}")
         if source == "file" and "file" not in raw:
             raise ScenarioError("source = file needs the 'file' key")
+        # no defaults for keys the source does not read, so the echo omits them
+        parameters = {k: v for k, v in parameters.items() if k not in foreign}
     return Scenario(kind, parameters, seed, output_path)
 
 

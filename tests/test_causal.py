@@ -1,5 +1,3 @@
-import functools
-import importlib.util
 import itertools
 import math
 import tempfile
@@ -26,8 +24,6 @@ from qcausal.causal import (
     quantum_order,
 )
 from qcausal.topology import ResourceLimitError
-
-ORACLE = Path(__file__).resolve().parent.parent / "scripts" / "verify_fixtures.py"
 
 
 def test_classical_order_examples():
@@ -486,25 +482,17 @@ def test_search_matches_brute_force(events, policy):
     assert summary.comparability == comparability
 
 
-@functools.cache
-def oracle():
-    """The fixture oracle, loaded by path: it imports nothing from the package."""
-    spec = importlib.util.spec_from_file_location("verify_fixtures", ORACLE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @settings(deadline=None, max_examples=200)
 @given(event_sets(max_events=6), st.data())
-def test_search_matches_the_oracle(events, data):
+def test_search_matches_the_oracle(load_by_path, events, data):
+    oracle = load_by_path("scripts/verify_fixtures.py")
     # integer coordinates, so the oracle's ** and the engine's d * d agree
     assume(len(free_pairs(events)) <= 8)
     as_dicts = [{"id": e.id, "t": e.t, "x": list(e.x), "group": e.group} for e in events]
     ids = sorted(e.id for e in events)
     witness = (data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids)))
-    section = oracle().order_section(as_dicts, witness)
-    classical, free, closures = oracle().admissible_orders(as_dicts)
+    section = oracle.order_section(as_dicts, witness)
+    classical, free, closures = oracle.admissible_orders(as_dicts)
     summary = enumerate_admissible_orientations(events, "all")
     assert set(summary.free_pairs) == {frozenset(pair) for pair in free}
     assert (len(summary.free_pairs), summary.orientation_count, summary.admissible_count) == (

@@ -22,16 +22,14 @@ from qcausal.entanglement import (
     xz_axis,
 )
 from qcausal.quantum import (
+    NORM_TOL,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     StateVector,
-    born_cumulative,
     born_index,
     collapse,
-    embed_pvm,
     measure_probabilities,
-    spin_pvm,
 )
 
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -303,22 +301,21 @@ def test_epr_rejects_zero_trials():
         epr_consistency(Z_AXIS, 0, seed=1)
 
 
-def _sample_with_rng(obs, psi, rng):
+def _sample_with_rng(psi, site, axis, rng):
     """Reference definition of one draw: a Born index, then the collapse."""
-    index = int(born_index(born_cumulative(obs, psi), rng.random()))
-    return index, collapse(obs, index, psi)
+    index = int(born_index(np.cumsum(measure_probabilities(psi, site, axis)), rng.random()))
+    return index, collapse(psi, site, axis, index)
 
 
 def epr_per_trial(axis, trials, seed, axis_b=None):
     """Reference definition: one A draw, collapse, one B draw, per trial."""
-    pvm_a = embed_pvm(spin_pvm(axis), 0, 2)
-    pvm_b = embed_pvm(spin_pvm(axis if axis_b is None else axis_b), 1, 2)
+    axis_b = axis if axis_b is None else axis_b
     psi = bell_phi_plus()
     rng = np.random.default_rng(seed)
     agreements = 0
     for _ in range(trials):
-        idx_a, collapsed = _sample_with_rng(pvm_a, psi, rng)
-        idx_b, _ = _sample_with_rng(pvm_b, collapsed, rng)
+        idx_a, collapsed = _sample_with_rng(psi, 0, axis, rng)
+        idx_b, _ = _sample_with_rng(collapsed, 1, axis_b, rng)
         agreements += idx_a == idx_b
     return agreements / trials
 
@@ -391,16 +388,14 @@ def test_batched_epr_raises_like_per_trial_loop_on_impossible_branch(monkeypatch
 
 
 def joint_per_pair(psi, axis_a, axis_b, site_a=0, site_b=1):
-    """Reference definition: embed both spin PVMs in the register and take
-    <psi| P_i P_j |psi> branch by branch."""
-    n = psi.dimension.bit_length() - 1
-    pvm_a = embed_pvm(spin_pvm(axis_a), site_a, n)
-    pvm_b = embed_pvm(spin_pvm(axis_b), site_b, n)
-    probs = np.empty((2, 2))
-    for i, (_, pa) in enumerate(pvm_a.branches):
-        projected = pa @ psi.amplitudes
-        for j, (_, pb) in enumerate(pvm_b.branches):
-            probs[i, j] = float(np.real(np.vdot(projected, pb @ projected)))
+    """Reference definition, sequential: A's Born probability times B's on the
+    state collapsed onto A's outcome. A branch that collapse rejects has
+    probability at most NORM_TOL and is read as 0."""
+    probs = np.zeros((2, 2))
+    for i, prob_a in enumerate(measure_probabilities(psi, site_a, axis_a)):
+        if prob_a > NORM_TOL:
+            after = collapse(psi, site_a, axis_a, i)
+            probs[i] = prob_a * measure_probabilities(after, site_b, axis_b)
     return probs
 
 
@@ -489,16 +484,14 @@ CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 def eraser_curve_per_phase(marking, erasure, phase_samples):
     """Slow definition: per phase, build path x marker, apply the CNOT, collapse
     the marker onto +x if erasing, then read the path port's +x probability."""
-    path_port = embed_pvm(spin_pvm(X_AXIS), 0, 2)
-    marker_port = embed_pvm(spin_pvm(X_AXIS), 1, 2)
     phases = 2.0 * math.pi * np.arange(phase_samples) / phase_samples
     probs = []
     for phi in phases:
         amps = np.kron(np.array([1.0, np.exp(1j * phi)]) / math.sqrt(2.0), [1.0, 0.0])
         psi = StateVector(CNOT @ amps if marking else amps)
         if erasure:
-            psi = collapse(marker_port, 0, psi)
-        probs.append(measure_probabilities(path_port, psi)[0])
+            psi = collapse(psi, 1, X_AXIS, 0)
+        probs.append(measure_probabilities(psi, 0, X_AXIS)[0])
     return phases, np.array(probs)
 
 
@@ -527,15 +520,12 @@ def test_eraser_rejects_few_samples():
 
 
 def test_ghz_single_site_collapse_forces_unanimity():
-    from qcausal.quantum import collapse, embed_pvm, measure_probabilities, spin_pvm
-
     psi = ghz(3)
-    z = spin_pvm(Z_AXIS)
     for site in range(3):
         for branch in (0, 1):
-            collapsed = collapse(embed_pvm(z, site, 3), branch, psi)
+            collapsed = collapse(psi, site, Z_AXIS, branch)
             for other in range(3):
                 if other == site:
                     continue
-                probs = measure_probabilities(embed_pvm(z, other, 3), collapsed)
+                probs = measure_probabilities(collapsed, other, Z_AXIS)
                 assert abs(probs[branch] - 1.0) <= 1e-12

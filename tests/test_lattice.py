@@ -1,7 +1,4 @@
-import functools
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +19,6 @@ from qcausal.lattice import (
 )
 
 SPEC64 = LatticeSpec(64, 1.0, 16)
-ORACLE = Path(__file__).resolve().parent.parent / "scripts" / "verify_fixtures.py"
 
 
 def test_spec_validation():
@@ -299,18 +295,9 @@ def test_cone_profile_errors():
     assert not profile.extents().any()
     assert profile.fitted_speed == 0.0 and profile.broadening() == 0
     with pytest.raises(ValueError, match="non-negative"):
-        ConeProfile(profile.per_time_extent, -0.5, 50.0)
+        ConeProfile(profile.per_time_extent, -0.5)
     with pytest.raises(ValueError, match="8 time steps"):
         cone_profile(commutator_table(LatticeSpec(64, 1.0, 6)), eps=1e-3)
-
-
-@functools.cache
-def oracle():
-    """The fixture oracle, loaded by path: it imports nothing from the package."""
-    spec = importlib.util.spec_from_file_location("verify_fixtures", ORACLE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 # A draw whose |D| comes within the oracle's EPS_MARGIN of eps has no
@@ -321,7 +308,8 @@ MAX_THRESHOLD_SKIP_SHARE = 0.05
 ORACLE_DRAWS = 250
 
 
-def test_table_and_cone_match_the_oracle():
+def test_table_and_cone_match_the_oracle(load_by_path):
+    oracle = load_by_path("scripts/verify_fixtures.py")
     counts = {"draws": 0, "skips": 0}
 
     @settings(deadline=None, max_examples=ORACLE_DRAWS)
@@ -335,15 +323,15 @@ def test_table_and_cone_match_the_oracle():
     def check(sites, time_steps, mass, eps, data):
         table = commutator_table(LatticeSpec(sites, mass, time_steps))
         step = data.draw(st.integers(-(time_steps - 1), time_steps - 1), label="step")
-        omegas = oracle().omega_table(sites, mass)
+        omegas = oracle.omega_table(sites, mass)
         # every dx, so the half of the table mirrored from dx <= N/2 is
         # checked on its own
         for dx in range(sites):
-            expected = float(oracle().commutator(sites, omegas, dx, step))
+            expected = float(oracle.commutator(sites, omegas, dx, step))
             assert abs(table.value(dx, step) - expected) <= 1e-13
         counts["draws"] += 1
-        section = oracle().cone_section(sites, mass, time_steps, eps)
-        if section["thresholdMargin"] < oracle().EPS_MARGIN:
+        section = oracle.cone_section(sites, mass, time_steps, eps)
+        if section["thresholdMargin"] < oracle.EPS_MARGIN:
             counts["skips"] += 1
             return
         profile = cone_profile(table, eps)

@@ -30,7 +30,7 @@ def test_import_loads_neither_numpy_nor_a_layer():
 
 
 def test_every_name_is_its_home_layers_object():
-    assert len(qcausal.__all__) == 54
+    assert len(qcausal.__all__) == 51
     for layer in LAYERS:
         assert getattr(qcausal, layer) is importlib.import_module(f"qcausal.{layer}")
     for name in set(qcausal.__all__) - set(LAYERS):

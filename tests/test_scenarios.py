@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import subprocess
 import sys
@@ -18,6 +17,7 @@ from qcausal.scenarios import (
     MAX_ORDER_EVENTS,
     MAX_PHASE_SAMPLES,
     MAX_TABLE_CELLS,
+    SCHEMAS,
     SOURCE_KEYS,
     ScenarioError,
     emit_csv,
@@ -475,6 +475,19 @@ def test_topology_rejects_other_sources_keys(tmp_path, capsys, source):
     assert main(["run", str(scenario_file), "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("source", sorted(SOURCE_KEYS))
+def test_topology_echo_lists_only_the_keys_the_source_reads(tmp_path, source):
+    (tmp_path / "g.txt").write_text("a b\n")
+    scenario_file = tmp_path / "topo.scn"
+    file_line = "file = g.txt\n" if source == "file" else ""
+    scenario_file.write_text(f"kind = topology\nsource = {source}\n{file_line}")
+    out = tmp_path / "out"
+    assert main(["run", str(scenario_file), "--out", str(out)]) == 0
+    echo = json.loads((out / "topology_report.json").read_text())["inputsEcho"]
+    common = set(SCHEMAS["topology"]).difference(*SOURCE_KEYS.values())
+    assert set(echo) == common | set(SOURCE_KEYS[source]) | {"seed"}
+
+
 def test_topology_file_source_requires_file(tmp_path, capsys):
     scenario_file = tmp_path / "topo.scn"
     scenario_file.write_text("kind = topology\nsource = file\n")
@@ -484,17 +497,12 @@ def test_topology_file_source_requires_file(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_benchmark_and_shipped_scenarios_parse(tmp_path, monkeypatch):
+def test_benchmark_and_shipped_scenarios_parse(tmp_path, load_by_path):
     """Every scenario text the benchmark writes, criterion 12 runs and
     scenarios/ ships parses, so a stricter schema cannot silently break them."""
     from qcausal.checks import _DETERMINISM_SCENARIOS
 
-    spec = importlib.util.spec_from_file_location(
-        "workloads", REPO_ROOT / "perfbench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "workloads", workloads)
-    spec.loader.exec_module(workloads)
+    workloads = load_by_path("perfbench/workloads.py")
     texts = {
         f"perfbench {name} {item.name}": item.scenario
         for name in workloads.WORKLOADS
